@@ -10,9 +10,9 @@ package provides
   the underlying pure-birth genealogy (:mod:`analysis`, :mod:`genealogy`);
 * reproducible lazily generated obstacle fields on all of R^d
   (:mod:`environment`);
-* an exact event-driven particle simulator with genealogy logging, a
-  free-run trimming coupling, and local/global growth observables
-  (:mod:`branching`);
+* an exact particle simulator, stepped as arrays in rounds inside each
+  observation epoch, with genealogy logging, a free-run trimming
+  coupling, and local/global growth observables (:mod:`branching`);
 * first-moment Monte Carlo estimators of the expected mass, quenched and
   annealed (:mod:`feynman_kac`), and in d = 1 a deterministic Crank-Nicolson
   solve of the same first moment (:mod:`first_moment`, imported on demand

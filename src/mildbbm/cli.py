@@ -19,8 +19,15 @@ never hard-coded.  The environment variable MILDBBM_SEED overrides the
 master seed (flags still win).  Every output file carries a header with
 the run's config hash and master seed.
 
-Exit codes: 0 pass, 1 statistical gate failed, 2 configuration error,
-3 campaign invalidated by particle-cap truncation.
+Exit codes
+----------
+0  pass
+1  statistical gate failed
+2  configuration error: the config is checked when it is loaded, by
+   building the model constants, a simulation config and the obstacle
+   field it describes
+3  campaign invalidated by particle-cap truncation
+4  internal fault or i/o failure; the traceback goes to stderr
 """
 
 from __future__ import annotations
@@ -29,8 +36,10 @@ import argparse
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -122,14 +131,35 @@ def _load_config(args) -> dict:
             cfg["obs"] = tuple(float(v) for v in cfg["obs"].split(","))
         else:
             cfg["obs"] = tuple(float(v) for v in cfg["obs"])
-    for name in ("nu", "a", "beta", "t_max"):
-        if not cfg[name] > 0:
-            raise ConfigError(f"{name} must be positive, got {cfg[name]}")
-    if cfg["d"] < 1:
-        raise ConfigError(f"d must be >= 1, got {cfg['d']}")
-    if cfg["replicates"] < 1 or cfg["workers"] < 1:
-        raise ConfigError("replicates and workers must be >= 1")
+    _validate(cfg)
     return cfg
+
+
+def _validate(cfg):
+    """Raise ConfigError unless every object a campaign builds from cfg can be built."""
+    try:
+        mc = ModelConstants(cfg["d"], cfg["nu"], cfg["beta"], cfg["a"])
+        SimConfig(
+            mc=mc,
+            t_max=cfg["t_max"],
+            obs_times=cfg["obs"] if cfg["obs"] is not None else (cfg["t_max"],),
+            drift=cfg["drift"],
+            particle_cap=cfg["cap"],
+            seed=cfg["seed"],
+        ).drift_vector
+        ObstacleField(cfg["d"], cfg["nu"], cfg["a"], cfg["seed"], cfg["cell_size"])
+        clearing_radius(cfg["ell"], mc)
+        for name in ("dt", "resolution", "ball_radius"):
+            if not cfg[name] > 0:
+                raise ValueError(f"{name} must be positive, got {cfg[name]}")
+        counts = (("replicates", 1), ("workers", 1), ("runs", 1), ("pairs", 1), ("n_seeds", 1), ("n_paths", 2))
+        for name, least in counts:
+            if int(cfg[name]) != cfg[name] or cfg[name] < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {cfg[name]}")
+        if not cfg["box_length"] >= 0 or not cfg["prune_tol"] >= 0:
+            raise ValueError("box_length and prune_tol must be >= 0")
+    except (TypeError, ValueError) as e:
+        raise ConfigError(str(e)) from e
 
 
 def _spec_hash(cfg: dict) -> str:
@@ -150,9 +180,56 @@ def _write_report(cfg, name: str, report: dict) -> str:
     report["master_seed"] = cfg["seed"]
     path = os.path.join(cfg["out"], name)
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(_finite(report), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return path
+
+
+def _finite(obj):
+    """obj with every NaN or infinite float replaced by None (JSON null)."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+# -- campaign runs ---------------------------------------------------------------
+
+
+def _campaign_field(cfg) -> ObstacleField:
+    if cfg["empty_env"]:
+        return ObstacleField.from_points([], a=cfg["a"], d=cfg["d"])
+    return ObstacleField(cfg["d"], cfg["nu"], cfg["a"], cfg["seed"], cfg["cell_size"])
+
+
+# state of one pool worker process, set once by its initializer
+_worker = {}
+
+
+def _init_worker(fn, cfg):
+    _worker.update(fn=fn, cfg=cfg, field=_campaign_field(cfg))
+
+
+def _run_in_worker(index):
+    return _worker["fn"](_worker["cfg"], _worker["field"], index)
+
+
+def _campaign_map(fn, cfg, n, chunksize, field=None) -> list:
+    """[fn(cfg, field, i) for i < n] on the campaign field.
+
+    Cells are realised on first touch and never change, so one field serves
+    every run of a process: the caller's ``field`` (or a new one) in
+    process, one per worker process when ``cfg["workers"] > 1``.
+    """
+    if cfg["workers"] == 1:
+        field = field if field is not None else _campaign_field(cfg)
+        return [fn(cfg, field, i) for i in range(n)]
+    ctx = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(cfg["workers"], ctx, initializer=_init_worker, initargs=(fn, cfg)) as pool:
+        return list(pool.map(_run_in_worker, range(n), chunksize=chunksize))
 
 
 def _fmt(x) -> str:
@@ -190,10 +267,8 @@ def cmd_gen_env(cfg) -> int:
 # -- growth-curve --------------------------------------------------------------
 
 
-def _growth_worker(task):
-    cfg, index = task
+def _growth_worker(cfg, field, index):
     mc = ModelConstants(cfg["d"], cfg["nu"], cfg["beta"], cfg["a"])
-    field = ObstacleField(cfg["d"], cfg["nu"], cfg["a"], cfg["seed"], cfg["cell_size"])
     sim = SimConfig(
         mc=mc,
         t_max=cfg["t_max"],
@@ -206,26 +281,20 @@ def _growth_worker(task):
     try:
         curve, _ = run_bbm(sim, field)
     except ParticleCapExceeded:
-        return index, None
-    return index, curve
+        return None
+    return curve
 
 
 def cmd_growth_curve(cfg) -> int:
     if cfg["obs"] is None:
         t = cfg["t_max"]
         cfg["obs"] = tuple(t * k / 4.0 for k in range(1, 5))
-    tasks = [(cfg, i) for i in range(cfg["replicates"])]
-    if cfg["workers"] > 1:
-        with ProcessPoolExecutor(max_workers=cfg["workers"]) as pool:
-            results = dict(pool.map(_growth_worker, tasks, chunksize=1))
-    else:
-        results = dict(map(_growth_worker, tasks))
+    results = _campaign_map(_growth_worker, cfg, cfg["replicates"], chunksize=1)
     os.makedirs(cfg["out"], exist_ok=True)
     header = _header(cfg)
     curves = []
     truncated = 0
-    for i in range(cfg["replicates"]):
-        curve = results[i]
+    for i, curve in enumerate(results):
         if curve is None:
             truncated += 1
             continue
@@ -304,13 +373,8 @@ def cmd_mrca_test(cfg) -> int:
 # -- fk-compare ----------------------------------------------------------------
 
 
-def _fk_branch_worker(task):
-    cfg, index = task
+def _fk_branch_worker(cfg, field, index):
     mc = ModelConstants(cfg["d"], cfg["nu"], cfg["beta"], cfg["a"])
-    if cfg["empty_env"]:
-        field = ObstacleField.from_points([], a=cfg["a"], d=cfg["d"])
-    else:
-        field = ObstacleField(cfg["d"], cfg["nu"], cfg["a"], cfg["seed"], cfg["cell_size"])
     sim = SimConfig(
         mc=mc,
         t_max=cfg["t_max"],
@@ -321,22 +385,14 @@ def _fk_branch_worker(task):
     try:
         curve, _ = run_bbm(sim, field)
     except ParticleCapExceeded:
-        return index, None
-    return index, int(curve.counts[-1])
+        return None
+    return int(curve.counts[-1])
 
 
 def cmd_fk_compare(cfg) -> int:
-    if cfg["empty_env"]:
-        field = ObstacleField.from_points([], a=cfg["a"], d=cfg["d"])
-    else:
-        field = ObstacleField(cfg["d"], cfg["nu"], cfg["a"], cfg["seed"], cfg["cell_size"])
-    tasks = [(cfg, i) for i in range(cfg["runs"])]
-    if cfg["workers"] > 1:
-        with ProcessPoolExecutor(max_workers=cfg["workers"]) as pool:
-            results = dict(pool.map(_fk_branch_worker, tasks, chunksize=64))
-    else:
-        results = dict(map(_fk_branch_worker, tasks))
-    sizes = np.asarray([results[i] for i in range(cfg["runs"]) if results[i] is not None], dtype=float)
+    field = _campaign_field(cfg)
+    results = _campaign_map(_fk_branch_worker, cfg, cfg["runs"], chunksize=64, field=field)
+    sizes = np.asarray([r for r in results if r is not None], dtype=float)
     truncated = cfg["runs"] - len(sizes)
     if len(sizes) == 0:
         print("fk-compare: every branching run hit the particle cap", file=sys.stderr)
@@ -542,12 +598,10 @@ def main(argv=None) -> int:
     except ParticleCapExceeded as e:
         print(f"campaign invalidated by truncation: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"i/o error: {e}", file=sys.stderr)
-        return 2
+    except Exception:
+        traceback.print_exc()
+        print("internal fault or i/o failure (traceback above)", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

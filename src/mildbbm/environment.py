@@ -9,10 +9,12 @@ identical points no matter when, where or in what order it is queried, and
 particles may wander arbitrarily far without a pre-declared bounding box.
 
 Scalar queries (``is_blocked``, ``nearest_obstacle_distance``) realise only
-the cells they touch.  Bulk queries (``is_blocked_many``, ``largest_clearing``)
-realise whole boxes through the vectorised twin of the same hash, so both
-paths see the same points; a sorted-array index (d = 1) or a k-d tree
-(d >= 2) serves the batched nearest-neighbour lookups.
+the cells they touch and cache each cell's points as tuples of Python
+floats, so a blocking query on realised cells runs without numpy.  Bulk
+queries (``is_blocked_many``, ``largest_clearing``) realise whole boxes
+through the vectorised twin of the same hash, so both paths see the same
+points; a sorted-array index (d = 1) or a k-d tree (d >= 2) serves the
+batched nearest-neighbour lookups.
 
 Cell realisation is idempotent, so concurrent readers may duplicate work
 but can never disagree; there is no mutation besides cache fills.
@@ -20,6 +22,7 @@ but can never disagree; there is no mutation besides cache fills.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -51,7 +54,7 @@ _POISSON_TAIL = 1e-17
 _MAX_POISSON_TERMS = 4096
 
 
-def _poisson_cdf_table(lam: float) -> np.ndarray:
+def _poisson_cdf_table(lam: float) -> list:
     """Cumulative Poisson(lam) probabilities out to negligible tail mass.
 
     Stops once the pmf term itself is negligible past the mode; the
@@ -69,7 +72,7 @@ def _poisson_cdf_table(lam: float) -> np.ndarray:
             )
         pmf *= lam / k
         cdf.append(cdf[-1] + pmf)
-    return np.asarray(cdf)
+    return cdf
 
 
 @dataclass(frozen=True)
@@ -115,7 +118,7 @@ class ObstacleField:
         self.master_seed = int(master_seed)
         self.cell_size = float(cell_size)
         self._finite = False
-        self._cells: dict[tuple, np.ndarray] = {}
+        self._cells: dict[tuple, tuple] = {}
         self._cdf = _poisson_cdf_table(self.nu * self.cell_size**self.d)
         self._line_cache = None  # d == 1: (lo_cell, hi_cell, sorted points)
         self._tree_cache = None  # d >= 2: (lo_cell, hi_cell, points, cKDTree)
@@ -151,15 +154,15 @@ class ObstacleField:
         obj._line_cache = None
         obj._tree_cache = None
         cells: dict[tuple, list] = {}
-        for row in pts:
-            c = tuple(int(math.floor(x / obj.cell_size)) for x in row)
-            cells.setdefault(c, []).append(row)
-        obj._cells = {c: np.asarray(v, dtype=float) for c, v in cells.items()}
+        for row in pts.tolist():
+            c = tuple(math.floor(x / obj.cell_size) for x in row)
+            cells.setdefault(c, []).append(tuple(row))
+        obj._cells = {c: tuple(v) for c, v in cells.items()}
         return obj
 
     @property
     def realized_cells(self) -> dict:
-        """Cells realised so far: cell coordinate tuple -> (k, d) point array."""
+        """Cells realised so far: cell coordinate tuple -> tuple of point tuples."""
         return self._cells
 
     def spec_record(self) -> dict:
@@ -178,26 +181,26 @@ class ObstacleField:
 
     # -- cell realisation --------------------------------------------------
 
-    def _cell_points(self, cell: tuple) -> np.ndarray:
+    def _cell(self, cell: tuple) -> tuple:
+        """Points of one lattice cell as float tuples, realised on first touch."""
         pts = self._cells.get(cell)
         if pts is not None:
             return pts
         if self._finite:
-            return _EMPTY.setdefault(self.d, np.empty((0, self.d)))
+            return ()
         key = cell_key(self.master_seed, cell)
-        u = u01(stream_u64(key, 0))
-        count = int(np.searchsorted(self._cdf, u, side="left"))
-        if count == 0:
-            pts = np.empty((0, self.d))
-        else:
-            coords = np.empty((count, self.d))
-            for j in range(count):
-                for q in range(self.d):
-                    uu = u01(stream_u64(key, 1 + j * self.d + q))
-                    coords[j, q] = (cell[q] + uu) * self.cell_size
-            pts = coords
+        count = bisect.bisect_left(self._cdf, u01(stream_u64(key, 0)))
+        d, cs = self.d, self.cell_size
+        pts = tuple(
+            tuple((cell[q] + u01(stream_u64(key, 1 + j * d + q))) * cs for q in range(d))
+            for j in range(count)
+        )
         self._cells[cell] = pts
         return pts
+
+    def _cell_points(self, cell: tuple) -> np.ndarray:
+        """Points of one lattice cell as a (k, d) array."""
+        return np.asarray(self._cell(cell), dtype=float).reshape(-1, self.d)
 
     def realize_box(self, lo, hi) -> np.ndarray:
         """All obstacle centres x with lo <= x < hi (component-wise).
@@ -210,7 +213,7 @@ class ObstacleField:
         if self._finite:
             if not self._cells:
                 return np.empty((0, self.d))
-            pts = np.concatenate(list(self._cells.values()))
+            pts = np.asarray([p for v in self._cells.values() for p in v], dtype=float).reshape(-1, self.d)
             mask = np.all((pts >= lo) & (pts < hi), axis=1)
             return pts[mask]
         lo_cell = np.floor(lo / self.cell_size).astype(np.int64)
@@ -244,16 +247,24 @@ class ObstacleField:
     # -- scalar queries ----------------------------------------------------
 
     def is_blocked(self, x) -> bool:
-        """True iff x lies within distance a (inclusive) of an obstacle centre."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        cs = self.cell_size
-        lo = np.floor((x - self.a) / cs).astype(int)
-        hi = np.floor((x + self.a) / cs).astype(int)
-        a2 = self.a * self.a
-        for cell in itertools.product(*(range(lo[q], hi[q] + 1) for q in range(self.d))):
-            pts = self._cell_points(cell)
-            if len(pts) and np.min(np.sum((pts - x) ** 2, axis=1)) <= a2:
-                return True
+        """True iff x lies within distance a (inclusive) of an obstacle centre.
+
+        Plain float arithmetic: the cells within reach are found with
+        ``math.floor`` and their cached point tuples compared with
+        ``math.dist``, so a query on realised cells allocates no array.
+        """
+        try:
+            x = tuple(x)
+        except TypeError:
+            x = (float(x),)
+        a, cs, cells, floor, dist = self.a, self.cell_size, self._cells, math.floor, math.dist
+        for cell in itertools.product(*[range(floor((v - a) / cs), floor((v + a) / cs) + 1) for v in x]):
+            pts = cells.get(cell)
+            if pts is None:
+                pts = self._cell(cell)
+            for p in pts:
+                if dist(p, x) <= a:
+                    return True
         return False
 
     def nearest_obstacle_distance(self, x, search_cap: float) -> float:
@@ -343,9 +354,6 @@ class ObstacleField:
     def is_blocked_many(self, xs: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`is_blocked` (inclusive radius)."""
         return self.nearest_distances(xs) <= self.a
-
-
-_EMPTY: dict[int, np.ndarray] = {}
 
 
 def _chebyshev_shell(c0: tuple, m: int):

@@ -249,7 +249,8 @@ def test_criterion_08b_dichotomy_local_growth():
     assert report(
         "8b",
         ok,
-        f"beta={beta}, b^2/2={b * b / 2}: survival {rep['survival_fraction']:.2f} ({rep['observed_label']}); "
+        f"beta={beta}, b^2/2={b * b / 2}: survival {rep['survival_fraction']:.2f} ({rep['observed_label']}), "
+        f"{rep['truncated_runs']} of {runs} runs truncated by the particle cap; "
         f"mean local {[f'{v:.1f}' for v in sim]} vs first moment {[f'{v:.1f}' for v in oracle]}, "
         f"gap/allowed {[f'{g / m:.2f}' for g, m in zip(gap, allowed)]}; "
         f"d/dt log E Z_t(B) = {oracle_slope:.3f} (target 0.3±0.15), simulated slope "

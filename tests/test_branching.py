@@ -1,4 +1,4 @@
-"""Event-driven engine: thinning exactness, genealogy invariants, coupling."""
+"""Engine: thinning exactness, genealogy invariants, coupling, the first moment."""
 
 import math
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats as st
 
+from mildbbm import branching
 from mildbbm.analysis import ModelConstants
 from mildbbm.branching import (
     Ball,
@@ -20,6 +21,7 @@ from mildbbm.branching import (
     trim_coupling,
 )
 from mildbbm.environment import ObstacleField
+from mildbbm.first_moment import expected_mass_1d
 from mildbbm.seeds import derive_seed
 
 
@@ -162,6 +164,91 @@ class TestThinning:
                 assert not field.is_blocked(r.position)
             if r.kind == "candidate-rejected":
                 assert field.is_blocked(r.position)
+
+
+class CountingField:
+    """A field that counts blocking queries and the cells each one realised."""
+
+    def __init__(self, field):
+        self.field = field
+        self.calls = 0
+        self.realised = set()
+
+    def is_blocked(self, x):
+        self.calls += 1
+        before = set(self.field.realized_cells)
+        answer = self.field.is_blocked(x)
+        self.realised |= set(self.field.realized_cells) - before
+        return answer
+
+
+class TestEngineContract:
+    def test_one_query_per_candidate_and_time_ordered_log(self):
+        field = CountingField(ObstacleField(2, 0.5, 0.3, 11))
+        mc = ModelConstants(2, 0.5, 1.0, 0.3)
+        for i in range(20):
+            cfg = SimConfig(mc=mc, t_max=4.0, obs_times=(1.0, 2.0, 4.0), seed=derive_seed(12, "run", i))
+            before = field.calls
+            _, log = run_bbm(cfg, field)
+            kinds = [r.kind for r in log]
+            assert field.calls - before == kinds.count("branch") + kinds.count("candidate-rejected")
+            times = [r.event_time for r in log]
+            assert times == sorted(times)
+        assert field.calls > 0 and field.realised
+        assert field.realised == set(field.field.realized_cells)
+
+    def test_free_runs_query_no_field(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ObstacleField, "is_blocked", lambda self, x: calls.append(x))
+        for i in range(20):
+            run_free_bbm(free_config(t_max=3.0, obs=(1.0, 3.0), seed=derive_seed(13, "run", i)))
+        assert calls == []
+
+    def test_row_blocks_do_not_change_a_run(self, monkeypatch):
+        # the pruning check and the blocking queries run in blocks of rows;
+        # tiny blocks must give the same run, cell for cell
+        mc = ModelConstants(1, 0.5, 1.0, 0.3)
+        ball = Ball("unit", (0.0,), 1.0)
+        cfg = SimConfig(mc=mc, t_max=8.0, obs_times=(4.0, 6.0, 8.0), drift=1.0, seed=15, balls=(ball,))
+
+        def run():
+            field = ObstacleField(1, 0.5, 0.3, 15)
+            curve, _, stats = _simulate(cfg, field=field, keep_log=False, focus=((0.0,), 1.0), prune_tol=1e-8)
+            return curve, stats, field.realized_cells
+
+        curve, stats, cells = run()
+        monkeypatch.setattr(branching, "_CHUNK", 3)
+        curve_b, stats_b, cells_b = run()
+        assert stats["pruned"] > 0 and curve.counts[-1] > 3
+        np.testing.assert_array_equal(curve_b.counts, curve.counts)
+        np.testing.assert_array_equal(curve_b.local_counts["unit"], curve.local_counts["unit"])
+        assert stats_b["pruned"] == stats["pruned"]
+        assert stats_b["leak_bound"] == pytest.approx(stats["leak_bound"], rel=1e-12)
+        assert cells_b == cells
+
+
+class TestFirstMoment:
+    def test_mean_population_matches_the_deterministic_solve(self):
+        # one fixed d = 1 field: E^omega|Z_t| and E^omega Z_t(B(0, 1)) from
+        # the Crank-Nicolson solve against the mean over independent runs
+        beta, b, times, runs = 1.0, 0.5, (1.5, 3.0), 4000
+        field = ObstacleField(1, 0.5, 0.3, 14)
+        mc = ModelConstants(1, 0.5, beta, 0.3)
+        ball = Ball("unit", (0.0,), 1.0)
+        total = np.empty((runs, len(times)))
+        local = np.empty((runs, len(times)))
+        for i in range(runs):
+            cfg = SimConfig(
+                mc=mc, t_max=times[-1], obs_times=times, drift=b, seed=derive_seed(14, "run", i), balls=(ball,)
+            )
+            curve, _ = run_bbm(cfg, field)
+            total[i], local[i] = curve.counts, curve.local_counts["unit"]
+        for sample, solve in (
+            (total, expected_mass_1d(field, beta, times, drift=b)),
+            (local, expected_mass_1d(field, beta, times, drift=b, ball=(0.0, 1.0))),
+        ):
+            se = sample.std(axis=0, ddof=1) / math.sqrt(runs)
+            assert np.all(np.abs(sample.mean(axis=0) - solve.value) <= 3.0 * se + solve.error_bound)
 
 
 class TestLocalMass:

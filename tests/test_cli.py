@@ -170,6 +170,24 @@ class TestGates:
         assert rep["observed_label"] == "extinct-like"
         assert rc == 1
 
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_dichotomy_report_is_strict_json_when_runs_truncate(self, tmp_path, cap):
+        # cap 1 truncates every run (no survival fraction); cap 2 keeps few
+        # enough runs that the standard error can be undefined
+        out = tmp_path / "trunc"
+        rc = main(["dichotomy", "--cap", str(cap), "--runs", "3", "--seed", "1", "--out", str(out)])
+
+        def refuse(token):
+            raise ValueError(f"non-finite token {token} in the report")
+
+        rep = json.loads(read(out / "dichotomy_report.json"), parse_constant=refuse)
+        assert rep["truncated_runs"] > 0
+        if cap == 1:
+            assert rc == 3 and rep["truncated_runs"] == 3
+            assert rep["survival_fraction"] is None
+        else:
+            assert rc in (1, 3)
+
     def test_clearing_stats(self, tmp_path):
         out = tmp_path / "cl"
         rc = main(
@@ -185,6 +203,45 @@ class TestGates:
 class TestConfigHandling:
     def test_bad_value_exits_2(self, tmp_path):
         assert main(["gen-env", "--nu", "-1", "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["growth-curve", "--obs", "2,1"],  # observation times not increasing
+            ["growth-curve", "--t-max", "2", "--obs", "1,3"],  # observation past the horizon
+            ["fk-compare", "--cap", "0"],
+            ["fk-compare", "--n-paths", "1"],
+            ["gen-env", "--cell-size", "1e4"],  # Poisson cell mean too large to tabulate
+            ["clearing-stats", "--ell", "2"],  # log log ell undefined
+        ],
+    )
+    def test_invalid_config_is_refused_before_running(self, tmp_path, args, capsys):
+        out = tmp_path / "never"
+        assert main(args + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    def test_internal_fault_exits_4_with_traceback(self, tmp_path, monkeypatch, capsys):
+        from mildbbm import cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(cli, "run_bbm", broken)
+        rc = main(["growth-curve", "--replicates", "1", "--out", str(tmp_path / "f")])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert "Traceback" in err and "could not be broadcast" in err
+        assert "config error" not in err
+
+    def test_campaign_builds_one_field_in_process(self, tmp_path, monkeypatch):
+        from mildbbm import cli
+
+        built = []
+        make = cli._campaign_field
+        monkeypatch.setattr(cli, "_campaign_field", lambda cfg: built.append(1) or make(cfg))
+        rc = main(["growth-curve", "--replicates", "5", "--t-max", "2", "--out", str(tmp_path / "g")])
+        assert rc == 0 and len(built) == 1
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
