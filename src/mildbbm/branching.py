@@ -631,6 +631,7 @@ def dichotomy_experiment(
             "ball_center": list(center),
             "ball_radius": ball_radius,
             "prune_tol": prune_tol,
+            "particle_cap": particle_cap,
             "seed": seed,
             "surv_gate": surv_gate,
         },

@@ -16,7 +16,9 @@ clearing-stats  largest grid clearing versus the predicted clearing radius
 Configuration comes from an optional JSON file (--config) overridden by
 flags; statistical gate levels live in the config under "gates" and are
 never hard-coded.  The environment variable MILDBBM_SEED overrides the
-master seed (flags still win).  Every output file carries a header with
+master seed (flags still win).  The particle cap defaults to 2M for every
+command but dichotomy, which keeps dichotomy_experiment's own cap unless
+the config or --cap sets one.  Every output file carries a header with
 the run's config hash and master seed.
 
 Exit codes
@@ -97,6 +99,10 @@ _DEFAULTS = {
     "dt_halving": True,
 }
 
+# per-command changes to _DEFAULTS; a cap of None leaves dichotomy_experiment
+# its own particle_cap, which is sized for its pruned runs
+_COMMAND_DEFAULTS = {"dichotomy": {"cap": None}}
+
 
 class ConfigError(ValueError):
     pass
@@ -104,6 +110,7 @@ class ConfigError(ValueError):
 
 def _load_config(args) -> dict:
     cfg = dict(_DEFAULTS)
+    cfg.update(_COMMAND_DEFAULTS.get(args.command, {}))
     cfg["gates"] = dict(_GATE_DEFAULTS)
     if args.config:
         try:
@@ -144,7 +151,7 @@ def _validate(cfg):
             t_max=cfg["t_max"],
             obs_times=cfg["obs"] if cfg["obs"] is not None else (cfg["t_max"],),
             drift=cfg["drift"],
-            particle_cap=cfg["cap"],
+            particle_cap=_DEFAULTS["cap"] if cfg["cap"] is None else cfg["cap"],
             seed=cfg["seed"],
         ).drift_vector
         ObstacleField(cfg["d"], cfg["nu"], cfg["a"], cfg["seed"], cfg["cell_size"])
@@ -453,6 +460,7 @@ def cmd_fk_compare(cfg) -> int:
 
 
 def cmd_dichotomy(cfg) -> int:
+    cap = {} if cfg["cap"] is None else {"particle_cap": cfg["cap"]}
     report = dichotomy_experiment(
         cfg["drift"],
         cfg["beta"],
@@ -464,10 +472,10 @@ def cmd_dichotomy(cfg) -> int:
         seed=cfg["seed"],
         obs_times=cfg["obs"],
         ball_radius=cfg["ball_radius"],
-        particle_cap=cfg["cap"],
         prune_tol=cfg["prune_tol"],
         cell_size=cfg["cell_size"],
         surv_gate=cfg["gates"]["surv_gate"],
+        **cap,
     )
     label = report["observed_label"]
     passed = label == report["predicted_regime"] and report["truncated_runs"] == 0

@@ -14,7 +14,18 @@ floats, so a blocking query on realised cells runs without numpy.  Bulk
 queries (``is_blocked_many``, ``largest_clearing``) realise whole boxes
 through the vectorised twin of the same hash, so both paths see the same
 points; a sorted-array index (d = 1) or a k-d tree (d >= 2) serves the
-batched nearest-neighbour lookups.
+batched nearest-neighbour lookups.  The box a field keeps for bulk queries
+is rebuilt only when a query leaves it, and then each side that must grow
+at least doubles the box's width, so a cloud of paths spreading over a
+region of width W costs O(log W) rebuilds (counted in ``bulk_rebuilds``).
+
+In d = 1 the box also carries a table of bins of width a/16 (wider on
+boxes of more than 2^20 such bins).  A bin is free when its midpoint lies
+farther than a + h/2 from every centre, blocked when it lies within
+a - h/2 of one, and mixed otherwise (the half-widths carry a margin for
+rounding).  ``is_blocked_many`` answers a query from its bin and sends
+only the points of mixed bins, about 2 % of them, through the exact
+nearest-centre rule, so its answers equal ``nearest_distances(x) <= a``.
 
 Cell realisation is idempotent, so concurrent readers may duplicate work
 but can never disagree; there is no mutation besides cache fills.
@@ -27,6 +38,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +64,11 @@ __all__ = [
 
 _POISSON_TAIL = 1e-17
 _MAX_POISSON_TERMS = 4096
+
+# d = 1 blocking table: bin width a / _BINS_PER_RADIUS, at most _MAX_BINS bins
+_BINS_PER_RADIUS = 16
+_MAX_BINS = 1 << 20
+_FREE, _BLOCKED, _MIXED = 0, 1, 2
 
 
 def _poisson_cdf_table(lam: float) -> list:
@@ -120,8 +137,8 @@ class ObstacleField:
         self._finite = False
         self._cells: dict[tuple, tuple] = {}
         self._cdf = _poisson_cdf_table(self.nu * self.cell_size**self.d)
-        self._line_cache = None  # d == 1: (lo_cell, hi_cell, sorted points)
-        self._tree_cache = None  # d >= 2: (lo_cell, hi_cell, points, cKDTree)
+        self._bulk_cache = None  # _LineCache (d == 1) or _TreeCache (d >= 2)
+        self.bulk_rebuilds = 0
 
     # -- construction -----------------------------------------------------
 
@@ -151,8 +168,8 @@ class ObstacleField:
         obj.cell_size = float(cell_size) if cell_size else max(obj.a, 1.0)
         obj._finite = True
         obj._cdf = None
-        obj._line_cache = None
-        obj._tree_cache = None
+        obj._bulk_cache = None
+        obj.bulk_rebuilds = 0
         cells: dict[tuple, list] = {}
         for row in pts.tolist():
             c = tuple(math.floor(x / obj.cell_size) for x in row)
@@ -298,27 +315,36 @@ class ObstacleField:
     # -- bulk queries --------------------------------------------------------
 
     def _ensure_bulk_cache(self, lo: np.ndarray, hi: np.ndarray):
-        """Realised box covering [lo, hi), grown geometrically as needed."""
-        cache = self._line_cache if self.d == 1 else self._tree_cache
-        if cache is not None and np.all(cache[0] <= lo) and np.all(cache[1] >= hi):
+        """Realised box covering [lo, hi), grown geometrically as needed.
+
+        A box that no longer covers the request is rebuilt; on each side
+        that must grow it extends by at least its own width.
+        """
+        cache = self._bulk_cache
+        if cache is None:
+            pad = 4.0 * self.cell_size
+            new_lo, new_hi = lo - pad, hi + pad
+        elif np.all(cache.lo <= lo) and np.all(cache.hi >= hi):
             return cache
-        pad = 4.0 * self.cell_size
-        new_lo = lo - pad
-        new_hi = hi + pad
-        if cache is not None:
-            new_lo = np.minimum(new_lo, cache[0])
-            new_hi = np.maximum(new_hi, cache[1])
+        else:
+            width = cache.hi - cache.lo
+            new_lo = np.where(lo < cache.lo, np.minimum(lo, cache.lo - width), cache.lo)
+            new_hi = np.where(hi > cache.hi, np.maximum(hi, cache.hi + width), cache.hi)
         pts = self.realize_box(new_lo, new_hi)
+        self.bulk_rebuilds += 1
         if self.d == 1:
-            cache = (new_lo, new_hi, np.sort(pts[:, 0]))
-            self._line_cache = cache
+            cache = _line_cache(new_lo, new_hi, np.sort(pts[:, 0]), self.a)
         else:
             from scipy.spatial import cKDTree
 
-            tree = cKDTree(pts) if len(pts) else None
-            cache = (new_lo, new_hi, pts, tree)
-            self._tree_cache = cache
+            cache = _TreeCache(new_lo, new_hi, cKDTree(pts) if len(pts) else None)
+        self._bulk_cache = cache
         return cache
+
+    def _query_box(self, lo, hi):
+        """Bulk cache covering every query point in [lo, hi] with margin >= a."""
+        margin = max(self.a, self.cell_size) + self.cell_size
+        return self._ensure_bulk_cache(lo - margin, hi + margin)
 
     def nearest_distances(self, xs: np.ndarray) -> np.ndarray:
         """Nearest-centre distances for a batch of query points.
@@ -332,28 +358,82 @@ class ObstacleField:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim == 1:
             xs = xs[:, None]
-        margin = max(self.a, self.cell_size) + self.cell_size
-        lo = xs.min(axis=0) - margin
-        hi = xs.max(axis=0) + margin
-        cache = self._ensure_bulk_cache(lo, hi)
+        if len(xs) == 0:
+            return np.zeros(0)
+        cache = self._query_box(xs.min(axis=0), xs.max(axis=0))
         if self.d == 1:
-            line = cache[2]
-            if len(line) == 0:
-                return np.full(len(xs), np.inf)
-            q = xs[:, 0]
-            idx = np.searchsorted(line, q)
-            left = np.where(idx > 0, np.abs(q - line[np.maximum(idx - 1, 0)]), np.inf)
-            right = np.where(idx < len(line), np.abs(line[np.minimum(idx, len(line) - 1)] - q), np.inf)
-            return np.minimum(left, right)
-        tree = cache[3]
-        if tree is None:
+            return _line_distances(cache.line, xs[:, 0])
+        if cache.tree is None:
             return np.full(len(xs), np.inf)
-        dist, _ = tree.query(xs)
+        dist, _ = cache.tree.query(xs)
         return dist
 
     def is_blocked_many(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`is_blocked` (inclusive radius)."""
-        return self.nearest_distances(xs) <= self.a
+        """Vectorised :meth:`is_blocked` (inclusive radius).
+
+        In d = 1 each point is answered from the blocking table of its bin;
+        only points in mixed bins go through ``nearest_distances``' rule.
+        """
+        if self.d > 1:
+            return self.nearest_distances(xs) <= self.a
+        q = np.asarray(xs, dtype=float).reshape(-1)
+        if q.size == 0:
+            return np.zeros(0, dtype=bool)
+        cache = self._query_box(q.min(keepdims=True), q.max(keepdims=True))
+        state = cache.state[((q - cache.lo[0]) * cache.inv_h).astype(np.intp)]
+        blocked = state == _BLOCKED
+        mixed = np.flatnonzero(state == _MIXED)
+        if mixed.size:
+            blocked[mixed] = _line_distances(cache.line, q[mixed]) <= self.a
+        return blocked
+
+
+class _TreeCache(NamedTuple):
+    lo: np.ndarray
+    hi: np.ndarray
+    tree: object  # scipy cKDTree, None for an empty box
+
+
+class _LineCache(NamedTuple):
+    lo: np.ndarray
+    hi: np.ndarray
+    line: np.ndarray  # sorted centres in [lo, hi)
+    inv_h: float  # 1 / bin width
+    state: np.ndarray  # uint8 bin states _FREE, _BLOCKED, _MIXED
+
+
+def _line_distances(line: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Distance from each q to the nearest entry of the sorted array ``line``."""
+    if len(line) == 0:
+        return np.full(len(q), np.inf)
+    idx = np.searchsorted(line, q)
+    left = np.where(idx > 0, np.abs(q - line[np.maximum(idx - 1, 0)]), np.inf)
+    right = np.where(idx < len(line), np.abs(line[np.minimum(idx, len(line) - 1)] - q), np.inf)
+    return np.minimum(left, right)
+
+
+def _line_cache(lo: np.ndarray, hi: np.ndarray, line: np.ndarray, a: float) -> _LineCache:
+    """d = 1 bulk cache over [lo, hi) with its blocking table.
+
+    Every point x of bin j lies within h/2 of the bin's midpoint m_j, so
+    the bin is free if m_j is farther than a + h/2 from every centre and
+    blocked if some centre lies within a - h/2 of m_j.  ``slack`` adds to
+    h/2 a margin far above the rounding of the bin lookup and of the
+    distances, so a table answer never differs from the exact rule.  Bins
+    whose reach crosses the box edge may see centres outside the box, so
+    they are mixed.
+    """
+    x0, x1 = float(lo[0]), float(hi[0])
+    h = max(a / _BINS_PER_RADIUS, (x1 - x0) / _MAX_BINS)
+    n = int((x1 - x0) / h) + 2
+    mid = x0 + (np.arange(n) + 0.5) * h
+    dist = _line_distances(line, mid)
+    slack = 0.5 * h * (1.0 + 1e-6) + 1e-12 * (abs(x0) + abs(x1) + a)
+    state = np.full(n, _MIXED, dtype=np.uint8)
+    state[dist > a + slack] = _FREE
+    state[dist <= a - slack] = _BLOCKED
+    state[(mid - x0 < a + 2.0 * slack) | (x1 - mid < a + 2.0 * slack)] = _MIXED
+    return _LineCache(lo, hi, line, 1.0 / h, state)
 
 
 def _chebyshev_shell(c0: tuple, m: int):
@@ -414,14 +494,7 @@ def largest_clearing(field: ObstacleField, ell: float, resolution: float) -> Cle
             margin *= 2.0
             continue
         if field.d == 1:
-            line = np.sort(pts[:, 0])
-            q = centers[:, 0]
-            idx = np.searchsorted(line, q)
-            left = np.where(idx > 0, np.abs(q - line[np.maximum(idx - 1, 0)]), np.inf)
-            right = np.where(
-                idx < len(line), np.abs(line[np.minimum(idx, len(line) - 1)] - q), np.inf
-            )
-            dists = np.minimum(left, right)
+            dists = _line_distances(np.sort(pts[:, 0]), centers[:, 0])
         else:
             from scipy.spatial import cKDTree
 

@@ -170,6 +170,24 @@ class TestGates:
         assert rep["observed_label"] == "extinct-like"
         assert rc == 1
 
+    def test_dichotomy_cap_defaults_to_the_library_cap(self, tmp_path):
+        import inspect
+
+        from mildbbm.branching import dichotomy_experiment
+
+        library = inspect.signature(dichotomy_experiment).parameters["particle_cap"].default
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cap": 7000}))
+        base = ["dichotomy", "--t-max", "1", "--runs", "2", "--seed", "1"]
+        # (options before the command, options after it, cap in effect)
+        cases = [([], [], library), ([], ["--cap", "5000"], 5000), (["--config", str(cfg)], [], 7000)]
+        for k, (before, after, expected) in enumerate(cases):
+            out = tmp_path / f"cap{k}"
+            main(before + base + after + ["--out", str(out)])
+            rep = json.loads(read(out / "dichotomy_report.json"))
+            assert rep["params"]["particle_cap"] == expected
+        assert library > 2_000_000
+
     @pytest.mark.parametrize("cap", [1, 2])
     def test_dichotomy_report_is_strict_json_when_runs_truncate(self, tmp_path, cap):
         # cap 1 truncates every run (no survival fraction); cap 2 keeps few

@@ -139,6 +139,116 @@ class TestBlocking:
         assert frac == pytest.approx(1 - math.exp(-0.3), abs=0.01)
 
 
+def exact_blocked(field, xs):
+    """The exact bulk rule the d = 1 table must reproduce."""
+    return field.nearest_distances(xs) <= field.a
+
+
+def boundary_queries(centres, a):
+    """c - a and c + a for every centre, with both float neighbours of each."""
+    edges = np.concatenate([centres - a, centres + a])
+    return np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
+
+
+class TestBlockingTable:
+    def test_ball_edges_and_their_float_neighbours(self):
+        f = field_create(1, 1.0, 0.3, 31, 1.0)
+        centres = f.realize_box([-20.0], [20.0])[:, 0]
+        xs = boundary_queries(centres, f.a)
+        fresh = field_create(1, 1.0, 0.3, 31, 1.0)
+        assert np.array_equal(fresh.is_blocked_many(xs), exact_blocked(fresh, xs))
+        # the closed ball: c +- a is blocked, the next float outwards is not
+        one = ObstacleField.from_points([[0.0]], a=0.3)
+        assert one.is_blocked_many(np.array([0.3, -0.3])).all()
+        assert not one.is_blocked_many(np.nextafter(np.array([0.3, -0.3]), [1.0, -1.0])).any()
+
+    def test_random_queries_match_exact_rule(self):
+        f = field_create(1, 2.0, 0.25, 8, 0.7)
+        xs = np.random.default_rng(2).normal(0.0, 15.0, 200_000)
+        assert np.array_equal(f.is_blocked_many(xs), exact_blocked(f, xs))
+
+    def test_table_answers_most_queries(self):
+        from mildbbm.environment import _MIXED
+
+        f = field_create(1, 1.0, 0.3, 12, 1.0)
+        xs = np.random.default_rng(0).uniform(-30.0, 30.0, 50_000)
+        f.is_blocked_many(xs)
+        cache = f._bulk_cache
+        state = cache.state[((xs - cache.lo[0]) * cache.inv_h).astype(np.intp)]
+        assert (state == _MIXED).mean() < 0.05
+
+    def test_far_queries_grow_the_table(self):
+        f = field_create(1, 1.0, 0.3, 77, 1.0)
+        near = np.linspace(-3.0, 3.0, 1001)
+        f.is_blocked_many(near)
+        assert f.bulk_rebuilds == 1
+        for far in (1e4, -2.5e4, 3.1e5):
+            xs = far + np.linspace(-3.0, 3.0, 1001)
+            fresh = field_create(1, 1.0, 0.3, 77, 1.0)
+            assert np.array_equal(f.is_blocked_many(xs), exact_blocked(fresh, xs))
+        assert f.bulk_rebuilds == 4
+        assert np.array_equal(f.is_blocked_many(near), exact_blocked(fresh, near))
+
+    def test_finite_and_empty_fields(self):
+        pts = np.array([[-2.0], [0.45], [0.5], [7.25]])
+        f = ObstacleField.from_points(pts, a=0.4)
+        xs = np.concatenate([boundary_queries(pts[:, 0], 0.4), np.linspace(-10.0, 10.0, 4001)])
+        expected = np.abs(xs[:, None] - pts[:, 0][None, :]).min(axis=1) <= 0.4
+        assert np.array_equal(f.is_blocked_many(xs), expected)
+        empty = ObstacleField.from_points([], a=0.4, d=1)
+        assert not empty.is_blocked_many(xs).any()
+        assert empty.is_blocked_many(np.empty(0)).shape == (0,)
+        assert field_create(2, 0.5, 0.3, 1, 1.0).is_blocked_many(np.empty((0, 2))).shape == (0,)
+
+    def test_answers_do_not_depend_on_query_history(self):
+        xs = np.random.default_rng(9).uniform(-40.0, 40.0, 20_000)
+        plain = field_create(1, 1.0, 0.3, 404, 1.0)
+        first = plain.is_blocked_many(xs)
+        # a box wider than 2^20 bins of a/16 widens the bins
+        wide = field_create(1, 1.0, 0.3, 404, 1.0)
+        wide.is_blocked_many(np.array([-2e4, 2e4]))
+        # small boxes grown piece by piece
+        grown = field_create(1, 1.0, 0.3, 404, 1.0)
+        for lo in range(-40, 40, 5):
+            grown.is_blocked_many(np.array([float(lo)]))
+        assert 1.0 / wide._bulk_cache.inv_h > wide.a / 16
+        assert np.array_equal(wide.is_blocked_many(xs), first)
+        assert np.array_equal(grown.is_blocked_many(xs), first)
+        assert np.array_equal(plain.is_blocked_many(xs[::-1]), first[::-1])
+        assert np.array_equal(first, exact_blocked(plain, xs))
+
+    def test_bins_reaching_past_the_box_edge_are_mixed(self):
+        # the box holds no centre, but one sits just below its lower edge:
+        # bins within its reach must not claim to be free
+        from mildbbm.environment import _FREE, _line_cache
+
+        cache = _line_cache(np.array([0.0]), np.array([10.0]), np.empty(0), 0.3)
+        h = 1.0 / cache.inv_h
+        reach = int(math.ceil(0.3 / h)) + 1
+        assert not (cache.state[:reach] == _FREE).any()
+        assert not (cache.state[-reach - 1:] == _FREE).any()
+        assert (cache.state == _FREE).mean() > 0.9
+
+    def test_bulk_box_grows_geometrically(self):
+        # the shape of the fk benchmark: 512 paths to t = 10 at dt = 1e-3
+        from mildbbm.feynman_kac import sample_free_times
+
+        f = field_create(1, 1.0, 0.3, 2718, 1.0)
+        sample_free_times(f, 1.0, 10.0, 1e-3, 512, seed=3)
+        # each rebuild at least doubles the width, and the first box is at
+        # least 2 * (margin + pad) = 12 wide
+        width = float(f._bulk_cache.hi[0] - f._bulk_cache.lo[0])
+        assert 1 <= f.bulk_rebuilds <= 1 + math.log2(width / 12.0)
+        assert f.bulk_rebuilds <= 4
+
+    def test_d2_box_grows_geometrically(self):
+        f = field_create(2, 0.5, 0.3, 2718, 1.0)
+        for r in np.geomspace(1.0, 200.0, 40):
+            f.is_blocked_many(np.array([[r, -r], [-r, r]]))
+        # the box must reach about +-200 from about +-6: at most log2(400 / 12) + 1 builds
+        assert f.bulk_rebuilds <= 1 + math.log2(412.0 / 12.0)
+
+
 class TestNearestDistance:
     def test_exact_distance(self):
         f = ObstacleField.from_points([[3.0, 0.0]], a=0.5)
