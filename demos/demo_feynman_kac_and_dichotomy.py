@@ -16,18 +16,18 @@ import numpy as np
 
 from mildbbm import (
     ModelConstants,
+    ObstacleField,
     SimConfig,
     derive_seed,
     dichotomy_experiment,
     estimate_annealed_mass,
     estimate_quenched_mass,
-    field_create,
     run_bbm,
 )
 from mildbbm.first_moment import expected_mass_1d
 
 d, nu, a, beta, t = 1, 0.5, 0.3, 1.0, 4.0
-field = field_create(d, nu, a, master_seed=1234)
+field = ObstacleField(d, nu, a, master_seed=1234)
 mc = ModelConstants(d, nu, beta, a)
 
 runs = 4000
@@ -66,7 +66,7 @@ times = (10.0, 20.0, 30.0)
 for nu_h, a_h in ((0.2, 0.1), (0.5, 0.3)):
     vals = np.mean(
         [
-            expected_mass_1d(field_create(1, nu_h, a_h, master_seed=derive_seed(5, "env", e)), 0.8, times,
+            expected_mass_1d(ObstacleField(1, nu_h, a_h, master_seed=derive_seed(5, "env", e)), 0.8, times,
                              drift=1.0, ball=(0.0, 1.0), dx=0.05).value
             for e in range(8)
         ],

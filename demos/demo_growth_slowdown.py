@@ -14,9 +14,9 @@ import numpy as np
 
 from mildbbm import (
     ModelConstants,
+    ObstacleField,
     SimConfig,
     derive_seed,
-    field_create,
     predicted_log_mass,
     run_bbm,
     run_free_bbm,
@@ -24,7 +24,7 @@ from mildbbm import (
 
 d, nu, a, beta = 1, 0.8, 0.3, 1.0
 mc = ModelConstants(d, nu, beta, a)
-field = field_create(d, nu, a, master_seed=11)
+field = ObstacleField(d, nu, a, master_seed=11)
 obs = (2.0, 4.0, 6.0, 8.0, 10.0)
 replicates = 40
 

@@ -11,10 +11,10 @@ import math
 
 import numpy as np
 
-from mildbbm import ModelConstants, clearing_radius, field_create, largest_clearing
+from mildbbm import ModelConstants, ObstacleField, clearing_radius, largest_clearing
 
 nu, a = 1.0, 0.25
-field = field_create(d=1, nu=nu, a=a, master_seed=20_260_808)
+field = ObstacleField(d=1, nu=nu, a=a, master_seed=20_260_808)
 
 pts = field.realize_box([-5000.0], [5000.0])
 print(f"realised {len(pts)} obstacle centres on [-5000, 5000) "
@@ -26,7 +26,7 @@ print(f"blocked fraction {frac:.4f} vs 1 - e^(-2 nu a) = {1 - math.exp(-2 * nu *
 
 print()
 print("same cells, regenerated in reverse order, give identical points:")
-other = field_create(d=1, nu=nu, a=a, master_seed=20_260_808)
+other = ObstacleField(d=1, nu=nu, a=a, master_seed=20_260_808)
 for cell in [(7,), (-3,), (0,)]:
     other._cells.clear()
     assert np.array_equal(field._cell_points(cell), other._cell_points(cell))

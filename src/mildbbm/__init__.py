@@ -43,6 +43,7 @@ from .branching import (
     dichotomy_experiment,
     local_mass,
     population_at,
+    run_batch,
     run_bbm,
     run_free_bbm,
     trim_coupling,
@@ -50,11 +51,10 @@ from .branching import (
 from .environment import (
     Clearing,
     ObstacleField,
-    field_create,
     largest_clearing,
     load_points,
-    nearest_obstacle_distance,
     save_points,
+    write_header,
 )
 from .feynman_kac import (
     FkEstimate,

@@ -21,23 +21,38 @@ the law, and no step carries a time discretisation error.  Ties between a
 candidate and an observation at the same instant (probability zero) are
 resolved by processing the observation first.
 
-Replicates are independent runs.  Each run draws from one numpy Generator
-seeded by the run seed, so a run is a function of its seed and its field
-alone and never depends on scheduling.  Within a campaign, run seeds are
-derived as hash(master seed, run index).
+Replicates are independent runs, and many of them can be stepped as one
+batch (:func:`run_batch`): the rows of every run share the arrays, with a
+``run`` column naming each row's run, so a round steps the due rows of all
+runs at once and its per-round cost is paid once per batch instead of once
+per run.  Each run asks its own field and draws from its own numpy
+Generator, seeded by its run seed; a round's draws are taken run by run, in
+row order within each run, in the order a run alone would take them.  A
+run is therefore a function of its seed and its field alone, the same in
+a batch as alone (``run_bbm`` is a batch of one), and never depends on
+scheduling, on the other runs of its batch, or on their truncation.
+Within a campaign, run seeds are derived as hash(master seed, run index).
+
+Held rows stay bounded by one heavy run rather than by the sum over runs:
+while a batch holds more than ``_ROW_BUDGET`` rows of two or more runs, its
+heaviest run is taken out with its state and finished alone.  The
+particle cap is checked per run; a run over it is dropped from the batch,
+marked truncated, and the others carry on.
 """
 
 from __future__ import annotations
 
 import json
+import itertools
 import math
+import operator
 import random
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .analysis import ModelConstants, lambda_c_constant_drift
-from .environment import ObstacleField
+from .environment import ObstacleField, write_header
 from .seeds import derive_seed
 
 __all__ = [
@@ -49,6 +64,7 @@ __all__ = [
     "ParticleCapExceeded",
     "run_bbm",
     "run_free_bbm",
+    "run_batch",
     "trim_coupling",
     "local_mass",
     "population_at",
@@ -176,9 +192,7 @@ class GenealogyLog:
     def to_jsonl(self, path, header: str | None = None):
         """Line-delimited JSON export, one record per line."""
         with open(path, "w") as fh:
-            if header:
-                for line in header.splitlines():
-                    fh.write(f"# {line}\n")
+            write_header(fh, header)
             for r in self:
                 fh.write(json.dumps(asdict(r)) + "\n")
 
@@ -203,9 +217,7 @@ class GrowthCurve:
     def to_csv(self, path, header: str | None = None):
         names = list(self.local_counts)
         with open(path, "w") as fh:
-            if header:
-                for line in header.splitlines():
-                    fh.write(f"# {line}\n")
+            write_header(fh, header)
             cols = ["t", "count"] + [f"local_{n}" for n in names] + ["M", "r_t"]
             fh.write(",".join(cols) + "\n")
             for k, t in enumerate(self.times):
@@ -229,21 +241,20 @@ class ParticleCapExceeded(RuntimeError):
         self.genealogy = genealogy
 
 
-def _curve(config, rows):
-    times = np.asarray(config.obs_times[: len(rows)])
-    counts = np.asarray([r[0] for r in rows], dtype=np.int64)
-    radial = np.asarray([r[1] for r in rows])
-    locals_ = {
-        b.name: np.asarray([r[2][q] for r in rows], dtype=np.int64)
-        for q, b in enumerate(config.balls)
-    }
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rates = np.where(times > 0, np.log(np.maximum(counts, 1)) / np.where(times > 0, times, 1.0), np.nan)
+def _curve(config, counts, radial, local):
+    """GrowthCurve of one run from its first ``len(counts)`` observations."""
+    times = np.asarray(config.obs_times[: len(counts)])
+    locals_ = {b.name: local[q] for q, b in enumerate(config.balls)}
+    rates = np.full(len(times), np.nan)
+    later = times > 0
+    rates[later] = np.log(np.maximum(counts[later], 1)) / times[later]
     return GrowthCurve(times=times, counts=counts, local_counts=locals_, radial_max=radial, rates=rates)
 
 
 # rows per block in the steps whose temporaries grow with the population
 _CHUNK = 1 << 16
+# rows a batch holds before its heaviest run is set aside and finished alone
+_ROW_BUDGET = 1 << 16
 
 
 def _sq_dist(pos, center):
@@ -257,165 +268,365 @@ def _inside(pos, center, radius):
     return _sq_dist(pos, np.asarray(center, dtype=float)) < radius * radius
 
 
-def _blocked(field, p):
-    """``field.is_blocked`` of each row of ``p``, asked in row order.
+def _blocked(queries, p, run):
+    """``queries[run[i]](p[i])`` for each row, asked in row order; a single
+    query serves every row.
 
     Rows are converted to Python lists a chunk at a time, so the temporary
     objects stay bounded however many candidates a round holds.
     """
-    out = np.empty(len(p), dtype=bool)
-    for lo in range(0, len(p), _CHUNK):
-        chunk = p[lo : lo + _CHUNK].tolist()
-        out[lo : lo + len(chunk)] = np.fromiter(map(field.is_blocked, chunk), dtype=bool, count=len(chunk))
-    return out
+    starts = range(0, len(p), _CHUNK)
+    if len(queries) == 1:
+        chunks = (map(queries[0], p[lo : lo + _CHUNK].tolist()) for lo in starts)
+    else:
+        ask = queries.__getitem__
+        chunks = (
+            map(operator.call, map(ask, run[lo : lo + _CHUNK].tolist()), p[lo : lo + _CHUNK].tolist()) for lo in starts
+        )
+    return np.fromiter(itertools.chain.from_iterable(chunks), dtype=bool, count=len(p))
 
 
-def _without(rows, *cols):
-    """The columns with the given row indices removed."""
-    stay = np.ones(len(cols[0]), dtype=bool)
-    stay[rows] = False
-    return tuple(c[stay] for c in cols)
+def _drop(rows, gone):
+    """Remove the rows with indices ``gone`` from a dict of columns, in place,
+    a column at a time so that one column is copied at once."""
+    stay = np.ones(len(rows["run"]), dtype=bool)
+    stay[gone] = False
+    for key in rows:
+        rows[key] = rows[key][stay]
 
 
-def _simulate(config, field=None, keep_log=True, focus=None, prune_tol=0.0):
-    """One run in array rounds.  Returns (GrowthCurve, GenealogyLog, stats dict).
+class _Batch:
+    """A batch of runs of one config, stepped as one set of arrays.
 
-    ``field=None`` accepts every candidate (the free process); otherwise
-    ``field.is_blocked`` is asked once per candidate that is not pruned.
-    With ``focus = (center, radius)`` particles whose expected free-population
-    contribution to that ball at every remaining observation time falls below
-    ``prune_tol`` are discarded; the summed bound on discarded contributions
-    is reported in the stats.  Counts and radial extent then describe the
-    retained window population only.
+    The live particles of every run are rows of the columns ``pos``,
+    ``last`` (the time of ``pos``), ``clock`` (the next candidate time) and
+    ``run`` (the run's index), plus ``ids`` and ``parents`` when a log is
+    kept.  Observations, pruning and truncation are kept per run.
     """
-    d, beta = config.mc.d, config.mc.beta
-    mean_gap = 1.0 / beta
-    drift = np.asarray(config.drift_vector)
-    rng = np.random.default_rng(config.seed)
-    obs = config.obs_times
-    log = GenealogyLog()
-    # the live population, one row per particle; ``last`` is the time of ``pos``
-    pos = np.zeros((1, d))
-    last = np.zeros(1)
-    clock = rng.exponential(mean_gap, 1)
-    ids = np.zeros(1, dtype=np.int64)
-    parents = np.full(1, -1, dtype=np.int64)
-    next_id = 1
-    r2max = 0.0
-    rows = []
-    pruned = 0
-    leak_bound = 0.0
-    if keep_log:
-        log._add(last.copy(), ids.copy(), np.full(1, _ROOT, dtype=np.int8), pos.copy(), parents.copy())
 
-    prune = focus is not None and prune_tol > 0
-    if prune:
-        f_center = np.atleast_1d(np.asarray(focus[0], dtype=float))
-        f_radius = float(focus[1])
-        gain = -math.log(prune_tol)
-        b_norm = math.hypot(*config.drift_vector)
-        t_last = obs[-1]
+    def __init__(self, config, fields, seeds, keep_log, focus, prune_tol):
+        n = len(fields)
+        if n == 0 or len(seeds) != n:
+            raise ValueError(f"a batch needs one seed per field and at least one run, got {len(seeds)} and {n}")
+        self.config = config
+        self.d, self.mean_gap = config.mc.d, 1.0 / config.mc.beta
+        if fields[0] is None:
+            self.queries = None
+        elif all(f is fields[0] for f in fields):
+            self.queries = [fields[0].is_blocked]
+        else:
+            self.queries = [f.is_blocked for f in fields]
+        self.gens = [np.random.default_rng(seed) for seed in seeds]
+        # None for no drift: adding 0.0 would change nothing but a zero's sign
+        self.drift = np.asarray(config.drift_vector) if any(config.drift_vector) else None
+        self.log = GenealogyLog() if keep_log else None
+        n_obs, n_balls = len(config.obs_times), len(config.balls)
+        self.counts = np.zeros((n, n_obs), dtype=np.int64)
+        self.local = np.zeros((n, n_balls, n_obs), dtype=np.int64)
+        self.radial = np.zeros((n, n_obs))
+        self.r2max = np.zeros(n)
+        self.seen = np.full(n, n_obs)  # observations a run completed
+        self.truncated = np.zeros(n, dtype=bool)
+        self.pruned = np.zeros(n, dtype=np.int64)
+        self.leak = np.zeros(n)
+        self.events = self.rejected = self.rounds = 0
+        self.most = min(config.particle_cap, _ROW_BUDGET)  # rows past which limit() has work
+        self.next_id = n
+        self.prune = focus is not None and prune_tol > 0
+        if self.prune:
+            self.f_center = np.atleast_1d(np.asarray(focus[0], dtype=float))
+            self.f_radius = float(focus[1])
+            self.gain = -math.log(prune_tol)
+            self.b_norm = math.hypot(*config.drift_vector)
 
-    def reach(tau):
-        """Rows within this distance of the focus centre, tau before t_last,
-        still expect prune_tol free descendants in the ball at t_last."""
-        return f_radius + math.sqrt(2.0 * tau * (beta * tau + gain)) - b_norm * tau
+    def start(self):
+        """Rows of one particle at the origin per run."""
+        n, d = len(self.seen), self.config.mc.d
+        rows = {
+            "pos": np.zeros((n, d)),
+            "last": np.zeros(n),
+            "run": np.arange(n),
+        }
+        rows["clock"] = self.draws([rows["run"]], self.gaps)
+        if self.log is not None:
+            rows["ids"] = np.arange(n)
+            rows["parents"] = np.full(n, -1)
+            self.log._add(rows["last"].copy(), rows["ids"].copy(), np.full(n, _ROOT, dtype=np.int8),
+                          rows["pos"].copy(), rows["parents"].copy())
+        return rows
 
-    def doomed(p, s, future, safe):
-        """Rows to prune; their summed bound is added to the leak.
+    def draws(self, runs, draw):
+        """``draw(generator, m)`` for rows of the run arrays ``runs``, end to end.
+
+        Each run's rows are drawn from its own Generator in one call, in row
+        order (the rows of ``runs[0]`` first), so a run's stream does not
+        depend on the other runs of the batch.
+        """
+        if len(self.gens) == 1:
+            return draw(self.gens[0], sum(map(len, runs)))
+        ends = {int(v) for run in runs if len(run) for v in (run.min(), run.max())}
+        if len(ends) < 2:
+            return draw(self.gens[ends.pop() if ends else 0], sum(map(len, runs)))
+        run = np.concatenate(runs)
+        counts = np.bincount(run, minlength=len(self.gens))
+        who = np.flatnonzero(counts)
+        parts = np.concatenate([draw(self.gens[r], m) for r, m in zip(who.tolist(), counts[who].tolist())])
+        out = np.empty_like(parts)
+        out[np.argsort(run, kind="stable")] = parts
+        return out
+
+    def gaps(self, gen, m):
+        """m candidate gaps, exponential of rate beta."""
+        return gen.exponential(self.mean_gap, m)
+
+    def steps(self, gen, m):
+        """m standard Gaussian vectors."""
+        return gen.standard_normal((m, self.d))
+
+    def moved(self, pos, dt, runs):
+        """``pos`` moved on by ``dt`` in place: + drift*dt + sqrt(dt)*N(0, I).
+
+        The sums are rounded as in ``pos + drift*dt + sqrt(dt)*N``; working in
+        place keeps a round's temporaries to two arrays of the stepped rows.
+        """
+        step = self.draws(runs, self.steps)
+        step *= np.sqrt(dt)[:, None]
+        if self.drift is not None:
+            pos += dt[:, None] * self.drift
+        pos += step
+        return pos
+
+    def reach(self, tau):
+        """Rows within this distance of the focus centre, tau before the
+        last observation, still expect prune_tol free descendants in the
+        ball then."""
+        beta = self.config.mc.beta
+        return self.f_radius + math.sqrt(2.0 * tau * (beta * tau + self.gain)) - self.b_norm * tau
+
+    def doomed(self, p, s, run, future, safe):
+        """Indices of the rows to prune; their bounds go to their runs' leaks.
 
         A row is kept if the Chernoff bound on its expected free descendants
         in the focus ball reaches prune_tol at some future observation time;
         rows closer than ``safe`` to the centre pass without the full check.
         The check runs in blocks of rows, which bounds its temporaries.
         """
-        nonlocal pruned, leak_bound
-        far = np.flatnonzero(_sq_dist(p, f_center) > safe * safe) if safe > 0.0 else np.arange(len(p))
-        if far.size == 0:
-            return far
-        lost = np.empty(far.size, dtype=bool)
+        beta = self.config.mc.beta
+        far = np.flatnonzero(_sq_dist(p, self.f_center) > safe * safe) if safe > 0.0 else np.arange(len(p))
+        lost = np.zeros(far.size, dtype=bool)
         for lo in range(0, far.size, _CHUNK):
             rows = far[lo : lo + _CHUNK]
             tau = future[None, :] - s[rows, None]
-            delta = p[rows, None, :] + tau[:, :, None] * drift - f_center
-            gap = np.maximum(np.sqrt((delta * delta).sum(axis=2)) - f_radius, 0.0)
+            delta = p[rows, None, :]
+            if self.drift is not None:
+                delta = delta + tau[:, :, None] * self.drift
+            delta = delta - self.f_center
+            gap = np.maximum(np.sqrt((delta * delta).sum(axis=2)) - self.f_radius, 0.0)
             expo = beta * tau - gap * gap / (2.0 * tau)
-            out = (expo < -gain).all(axis=1)
+            out = (expo < -self.gain).all(axis=1)
             lost[lo : lo + rows.size] = out
-            leak_bound += float(np.exp(expo[out]).sum())
-        pruned += int(np.count_nonzero(lost))
-        return far[lost]
+            if out.any():
+                bound = np.exp(expo[out]).sum(axis=1)
+                self.leak += np.bincount(run[rows[out]], weights=bound, minlength=len(self.leak))
+        gone = far[lost]
+        if gone.size:
+            self.pruned += np.bincount(run[gone], minlength=len(self.pruned))
+        return gone
 
-    for oi, T in enumerate(obs):
-        future = np.asarray(obs[oi:])
-        if prune:
-            # reach() is concave, so its minimum over the epoch is at an end
-            safe = min(reach(t_last - T), reach(t_last - (obs[oi - 1] if oi else 0.0)))
-        while True:
-            # one round: every particle with a candidate before T steps to it
-            due = (clock < T).nonzero()[0]
-            if due.size == 0:
-                break
-            tc = clock[due]
-            dt = tc - last[due]
-            p = pos[due] + dt[:, None] * drift + np.sqrt(dt)[:, None] * rng.standard_normal((due.size, d))
-            r2max = max(r2max, float((p * p).sum(axis=1).max()))
-            gone = due[:0]
-            if prune:
-                lost = doomed(p, tc, future, safe)
-                if lost.size:
-                    gone = due[lost]
-                    due, tc, p = _without(lost, due, tc, p)
-            if field is None:
-                split = np.ones(due.size, dtype=bool)
-            else:
-                split = ~_blocked(field, p)
-            if keep_log:
-                kinds = np.where(split, _BRANCH, _REJECTED).astype(np.int8)
-                log._add(tc, ids[due], kinds, p, parents[due])
-            n_split = int(np.count_nonzero(split))
-            if len(pos) - gone.size + n_split > config.particle_cap:
-                raise ParticleCapExceeded(
-                    f"particle cap {config.particle_cap} exceeded before t={T:.6g}",
-                    _curve(config, rows),
-                    log,
-                )
-            # every stepped row moves to its candidate with a fresh clock; an
-            # accepted candidate's row becomes its first child, and the
-            # second child is appended
-            pos[due] = p
-            last[due] = tc
-            clock[due] = tc + rng.exponential(mean_gap, due.size)
-            if n_split:
-                mother = due[split]
-                first = np.arange(next_id, next_id + 2 * n_split)
-                parents[mother] = ids[mother]
-                ids[mother] = first[:n_split]
-                pos = np.concatenate([pos, p[split]])
-                last = np.concatenate([last, tc[split]])
-                clock = np.concatenate([clock, tc[split] + rng.exponential(mean_gap, n_split)])
-                parents = np.concatenate([parents, parents[mother]])
-                ids = np.concatenate([ids, first[n_split:]])
-                next_id += 2 * n_split
-            if gone.size:
-                pos, last, clock, ids, parents = _without(gone, pos, last, clock, ids, parents)
-        # observation barrier: exact Gaussian positions at T for everyone
-        dt = T - last
-        pos = pos + dt[:, None] * drift + np.sqrt(dt)[:, None] * rng.standard_normal(pos.shape)
-        last = np.full(len(pos), T)
-        if len(pos):
-            r2max = max(r2max, float((pos * pos).sum(axis=1).max()))
-        local_row = [int(np.count_nonzero(_inside(pos, b.center, b.radius))) for b in config.balls]
-        if keep_log:
-            log._add(last.copy(), ids.copy(), np.full(len(pos), _OBSERVED, dtype=np.int8), pos.copy(), parents.copy())
-        rows.append((len(pos), math.sqrt(r2max), local_row))
-        if prune and oi + 1 < len(obs):
-            lost = doomed(pos, last, future[1:], reach(t_last - T))
+    def advance(self, rows, owned, k0):
+        """Step ``rows``, the particles of the runs ``owned`` (an index of the
+        per-run arrays: a slice for a whole batch), from inside epoch ``k0``
+        to the last observation time."""
+        obs = self.config.obs_times
+        for k in range(k0, len(obs)):
+            future = np.asarray(obs[k:])
+            safe = 0.0
+            if self.prune:
+                # reach() is concave, so its minimum over the epoch is at an end
+                safe = min(self.reach(obs[-1] - obs[k]), self.reach(obs[-1] - (obs[k - 1] if k else 0.0)))
+            while self.round(rows, future, safe):
+                if len(rows["run"]) > self.most:
+                    owned = self.limit(rows, owned, k)
+            self.observe(rows, owned, k)
+
+    def round(self, rows, future, safe):
+        """One round: every row with a candidate before ``future[0]`` steps
+        to it.  Returns False, stepping nothing, when no row is due.
+
+        The round's temporaries go when it returns, so none of them is held
+        while a run set aside by :meth:`limit` is finished.
+        """
+        log = self.log
+        due = (rows["clock"] < future[0]).nonzero()[0]
+        if due.size == 0:
+            return False
+        self.rounds += 1
+        tc = rows["clock"][due]
+        run = rows["run"][due]
+        p = self.moved(rows["pos"][due], tc - rows["last"][due], [run])
+        np.maximum.at(self.r2max, run, (p * p).sum(axis=1))
+        gone = None
+        if self.prune:
+            lost = self.doomed(p, tc, run, future, safe)
             if lost.size:
-                pos, last, clock, ids, parents = _without(lost, pos, last, clock, ids, parents)
+                gone = due[lost]
+                stay = np.ones(due.size, dtype=bool)
+                stay[lost] = False
+                # one column at a time, to bound the copies
+                due = due[stay]
+                tc = tc[stay]
+                p = p[stay]
+                run = run[stay]
+        if self.queries is None:
+            split = np.ones(due.size, dtype=bool)
+        else:
+            split = ~_blocked(self.queries, p, run)
+        n_split = int(np.count_nonzero(split))
+        self.events += due.size
+        self.rejected += due.size - n_split
+        if log is not None:
+            kinds = np.where(split, np.int8(_BRANCH), np.int8(_REJECTED))
+            log._add(tc, rows["ids"][due], kinds, p, rows["parents"][due])
+        # every stepped row moves to its candidate with a fresh clock; an
+        # accepted candidate's row becomes its first child, and the second
+        # child is appended.  A run's fresh gaps are drawn in one call, its
+        # stepped rows' before its second children's.
+        born_run = run[split]
+        gaps = self.draws([run, born_run], self.gaps)
+        rows["pos"][due] = p
+        rows["last"][due] = tc
+        rows["clock"][due] = tc + gaps[: due.size]
+        if n_split:
+            if log is not None:
+                mother = due[split]
+                ids, parents = rows["ids"], rows["parents"]
+                parents[mother] = ids[mother]
+                ids[mother] = np.arange(self.next_id, self.next_id + n_split)
+                rows["ids"] = np.concatenate([ids, np.arange(self.next_id + n_split, self.next_id + 2 * n_split)])
+                rows["parents"] = np.concatenate([parents, parents[mother]])
+            self.next_id += 2 * n_split
+            # a column at a time, to bound the copies
+            tc = tc[split]
+            rows["pos"] = np.concatenate([rows["pos"], p[split]])
+            rows["last"] = np.concatenate([rows["last"], tc])
+            rows["clock"] = np.concatenate([rows["clock"], tc + gaps[due.size :]])
+            rows["run"] = np.concatenate([rows["run"], born_run])
+        if gone is not None:
+            _drop(rows, gone)
+        return True
 
-    stats = {"pruned": pruned, "leak_bound": leak_bound, "final_id": next_id}
-    return _curve(config, rows), log, stats
+    def observe(self, rows, owned, k):
+        """Observation barrier at obs_times[k]: exact Gaussian positions for
+        every row, per-run counts, then pruning for the next epoch."""
+        config, n = self.config, len(self.seen)
+        T = config.obs_times[k]
+        pos = self.moved(rows["pos"], T - rows["last"], [rows["run"]])
+        rows["last"].fill(T)
+        run = rows["run"]
+        if len(pos):
+            np.maximum.at(self.r2max, run, (pos * pos).sum(axis=1))
+        self.counts[owned, k] = np.bincount(run, minlength=n)[owned]
+        self.radial[owned, k] = np.sqrt(self.r2max[owned])
+        for q, b in enumerate(config.balls):
+            self.local[owned, q, k] = np.bincount(run[_inside(pos, b.center, b.radius)], minlength=n)[owned]
+        if self.log is not None:
+            self.log._add(rows["last"].copy(), rows["ids"].copy(), np.full(len(pos), _OBSERVED, dtype=np.int8),
+                          pos.copy(), rows["parents"].copy())
+        if self.prune and k + 1 < len(config.obs_times):
+            obs = config.obs_times
+            lost = self.doomed(pos, rows["last"], run, np.asarray(obs[k + 1 :]), self.reach(obs[-1] - T))
+            if lost.size:
+                _drop(rows, lost)
+
+    def limit(self, rows, owned, k):
+        """Apply the particle cap per run, then the batch's row budget, at
+        the end of a round in epoch k.  Returns the runs still owned.
+
+        A run holding more than ``particle_cap`` rows is dropped and marked
+        truncated.  While the batch holds more than ``_ROW_BUDGET`` rows of
+        two or more runs, its heaviest run is taken out with its state and
+        finished alone.  A round at most doubles the rows, so the rows held
+        at once stay within twice the budget plus those of the run being
+        finished.
+        """
+        cap, n = self.config.particle_cap, len(self.seen)
+        if len(rows["run"]) > cap:
+            over = np.flatnonzero(np.bincount(rows["run"], minlength=n) > cap)
+            if over.size:
+                self.truncated[over] = True
+                self.seen[over] = k
+                _drop(rows, np.flatnonzero(np.isin(rows["run"], over)))
+                owned = np.setdiff1d(np.arange(n)[owned], over)
+        while len(rows["run"]) > _ROW_BUDGET:
+            size = np.bincount(rows["run"], minlength=n)
+            if np.count_nonzero(size) < 2:
+                break
+            heavy = int(size.argmax())
+            mine = np.flatnonzero(rows["run"] == heavy)
+            alone = {key: c[mine] for key, c in rows.items()}
+            _drop(rows, mine)
+            owned = np.arange(n)[owned]
+            owned = owned[owned != heavy]
+            self.advance(alone, np.asarray([heavy]), k)
+        return owned
+
+    def curves(self):
+        """GrowthCurve of each run, cut at its truncation if it has one."""
+        return [
+            _curve(self.config, self.counts[r, :s], self.radial[r, :s], self.local[r, :, :s])
+            for r, s in enumerate(self.seen.tolist())
+        ]
+
+
+def run_batch(config: SimConfig, fields, seeds, *, keep_log=False, focus=None, prune_tol=0.0):
+    """Simulate one run of ``config`` per entry of ``fields`` as one batch.
+
+    Run i branches among the obstacles of ``fields[i]``; a batch of ``None``
+    entries runs the free process, where every candidate is accepted.  Run i
+    draws from its own numpy Generator seeded by ``seeds[i]`` (``config.seed``
+    is not read), in the order it would alone, so it is the run that
+    :func:`run_bbm` gives for that seed and field.  Returns
+    (curves, log, stats): one GrowthCurve per run (cut at the last complete
+    observation for a run that outgrew ``particle_cap``), the batch's
+    genealogy log (``None`` unless ``keep_log``; particle ids are unique
+    across the batch), and a dict of per-run arrays ``truncated``,
+    ``pruned`` and ``leak_bound`` with the batch's work counts ``events``
+    (candidates decided: branches plus rejections), ``rejected`` and
+    ``rounds`` (array rounds stepped).
+
+    With ``focus = (center, radius)`` particles whose expected
+    free-population contribution to that ball at every remaining
+    observation time falls below ``prune_tol`` are discarded; a run's
+    ``leak_bound`` sums the bounds of its discarded particles.  Counts and
+    radial extent then describe the retained window population only.
+    """
+    batch = _Batch(config, list(fields), list(seeds), keep_log, focus, prune_tol)
+    batch.advance(batch.start(), slice(None), 0)
+    stats = {
+        "truncated": batch.truncated,
+        "pruned": batch.pruned,
+        "leak_bound": batch.leak,
+        "events": batch.events,
+        "rejected": batch.rejected,
+        "rounds": batch.rounds,
+    }
+    return batch.curves(), batch.log, stats
+
+
+def _simulate(config, field=None, keep_log=True, focus=None, prune_tol=0.0):
+    """One run, a batch of one.  Returns (GrowthCurve, GenealogyLog, stats dict).
+
+    ``field=None`` runs the free process.  Raises
+    :class:`ParticleCapExceeded` (carrying partial results) if the
+    population outgrows ``config.particle_cap``.
+    """
+    (curve,), log, stats = run_batch(config, [field], [config.seed], keep_log=keep_log, focus=focus, prune_tol=prune_tol)
+    if stats["truncated"][0]:
+        t = config.obs_times[len(curve.times)]
+        raise ParticleCapExceeded(f"particle cap {config.particle_cap} exceeded before t={t:.6g}", curve, log)
+    out = {key: stats[key] for key in ("events", "rejected", "rounds")}
+    out.update(pruned=int(stats["pruned"][0]), leak_bound=float(stats["leak_bound"][0]))
+    return curve, log, out
 
 
 def run_bbm(config: SimConfig, field: ObstacleField):
@@ -559,6 +770,15 @@ def dichotomy_experiment(
     blocks keep small), so the default ``particle_cap`` of 8M bounds a run
     near 0.8 GB.  Runs that outgrow it are excluded and counted in
     ``truncated_runs``.
+
+    All runs are stepped as one batch (:func:`run_batch`).  Run i branches
+    among the obstacles of environment hash(seed, "env", i) and draws from
+    its own Generator seeded by hash(seed, "run", i), so each run is the
+    one a separate simulation would give.  A truncated run leaves the
+    others unchanged, and a heavy run is finished alone once the batch
+    outgrows its row budget.  The report adds the batch's work counts:
+    ``events`` (candidates decided, branches plus rejections), ``rejected``
+    and ``rounds`` (array rounds stepped), truncated runs included.
     """
     if obs_times is None:
         obs_times = tuple(np.linspace(t_max / 3.0, t_max, 6))
@@ -570,31 +790,15 @@ def dichotomy_experiment(
     ball = Ball("target", center, ball_radius)
     lam_c = lambda_c_constant_drift(b)
 
-    locals_per_run = []
-    truncated = 0
-    pruned_total = 0
-    leak_total = 0.0
-    for i in range(runs):
-        field = ObstacleField(d, nu, a, derive_seed(seed, "env", i), cell_size)
-        config = SimConfig(
-            mc=mc,
-            t_max=t_max,
-            obs_times=obs_times,
-            drift=b,
-            particle_cap=particle_cap,
-            seed=derive_seed(seed, "run", i),
-            balls=(ball,),
-        )
-        try:
-            curve, _, stats = _simulate(
-                config, field=field, keep_log=False, focus=(center, ball_radius), prune_tol=prune_tol
-            )
-        except ParticleCapExceeded:
-            truncated += 1
-            continue
-        locals_per_run.append(curve.local_counts["target"])
-        pruned_total += stats["pruned"]
-        leak_total += stats["leak_bound"]
+    fields = [ObstacleField(d, nu, a, derive_seed(seed, "env", i), cell_size) for i in range(runs)]
+    config = SimConfig(mc=mc, t_max=t_max, obs_times=obs_times, drift=b, particle_cap=particle_cap, balls=(ball,))
+    seeds = [derive_seed(seed, "run", i) for i in range(runs)]
+    curves, _, stats = run_batch(config, fields, seeds, focus=(center, ball_radius), prune_tol=prune_tol)
+    ok = ~stats["truncated"]
+    locals_per_run = [c.local_counts["target"] for c, cut in zip(curves, stats["truncated"]) if not cut]
+    truncated = int(stats["truncated"].sum())
+    pruned_total = int(stats["pruned"][ok].sum())
+    leak_total = float(stats["leak_bound"][ok].sum())
 
     counts = np.asarray(locals_per_run, dtype=float).reshape(-1, len(obs_times))
     n_ok = len(counts)
@@ -649,4 +853,7 @@ def dichotomy_experiment(
         "truncated_runs": truncated,
         "pruned_subtrees": pruned_total,
         "leak_bound_total": leak_total,
+        "events": stats["events"],
+        "rejected": stats["rejected"],
+        "rounds": stats["rounds"],
     }

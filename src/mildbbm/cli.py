@@ -52,9 +52,10 @@ from .branching import (
     ParticleCapExceeded,
     SimConfig,
     dichotomy_experiment,
+    run_batch,
     run_bbm,
 )
-from .environment import ObstacleField, largest_clearing, save_points
+from .environment import ObstacleField, largest_clearing, save_points, write_header
 from .feynman_kac import estimate_quenched_mass, write_estimates_csv
 from .genealogy import MrcaLaw, mrca_cdf, sample_pair_mrca, simulate_yule_tree
 from .seeds import derive_seed
@@ -239,6 +240,10 @@ def _campaign_map(fn, cfg, n, chunksize, field=None) -> list:
         return list(pool.map(_run_in_worker, range(n), chunksize=chunksize))
 
 
+# engine work counts that the fk-compare report totals
+_WORK_COUNTS = ("events", "rejected", "rounds")
+
+
 def _fmt(x) -> str:
     return f"{x:.12g}"
 
@@ -319,7 +324,7 @@ def cmd_growth_curve(cfg) -> int:
     beta = cfg["beta"]
     agg_path = os.path.join(cfg["out"], "aggregated.csv")
     with open(agg_path, "w") as fh:
-        fh.write(f"# {header}\n")
+        write_header(fh, header)
         fh.write("t,mean_count,median_count,mean_r_t,median_r_t,slowdown_diagnostic\n")
         for k, t in enumerate(ts):
             mean_rt = float(np.nanmean(rates[:, k]))
@@ -330,7 +335,7 @@ def cmd_growth_curve(cfg) -> int:
             )
     pred_path = os.path.join(cfg["out"], "predicted.csv")
     with open(pred_path, "w") as fh:
-        fh.write(f"# {header}\n")
+        write_header(fh, header)
         fh.write("t,predicted_log_mass_quenched,predicted_log_mass_annealed\n")
         for t in ts:
             q = predicted_log_mass(mc, t, "quenched") if t > 1 else float("nan")
@@ -380,26 +385,26 @@ def cmd_mrca_test(cfg) -> int:
 # -- fk-compare ----------------------------------------------------------------
 
 
-def _fk_branch_worker(cfg, field, index):
+# branching runs stepped as one batch in fk-compare
+_FK_BLOCK = 64
+
+
+def _fk_branch_block(cfg, field, block):
+    """Final population sizes (None when truncated) and work counts of one block of runs."""
     mc = ModelConstants(cfg["d"], cfg["nu"], cfg["beta"], cfg["a"])
-    sim = SimConfig(
-        mc=mc,
-        t_max=cfg["t_max"],
-        obs_times=(cfg["t_max"],),
-        particle_cap=cfg["cap"],
-        seed=derive_seed(cfg["seed"], "run", index),
-    )
-    try:
-        curve, _ = run_bbm(sim, field)
-    except ParticleCapExceeded:
-        return None
-    return int(curve.counts[-1])
+    sim = SimConfig(mc=mc, t_max=cfg["t_max"], obs_times=(cfg["t_max"],), particle_cap=cfg["cap"])
+    runs = range(block * _FK_BLOCK, min((block + 1) * _FK_BLOCK, cfg["runs"]))
+    seeds = [derive_seed(cfg["seed"], "run", i) for i in runs]
+    curves, _, stats = run_batch(sim, [field] * len(seeds), seeds)
+    sizes = [None if cut else int(c.counts[-1]) for c, cut in zip(curves, stats["truncated"])]
+    return sizes, {key: stats[key] for key in _WORK_COUNTS}
 
 
 def cmd_fk_compare(cfg) -> int:
     field = _campaign_field(cfg)
-    results = _campaign_map(_fk_branch_worker, cfg, cfg["runs"], chunksize=64, field=field)
-    sizes = np.asarray([r for r in results if r is not None], dtype=float)
+    blocks = _campaign_map(_fk_branch_block, cfg, -(-cfg["runs"] // _FK_BLOCK), chunksize=1, field=field)
+    sizes = np.asarray([s for block, _ in blocks for s in block if s is not None], dtype=float)
+    work = {key: sum(w[key] for _, w in blocks) for key in _WORK_COUNTS}
     truncated = cfg["runs"] - len(sizes)
     if len(sizes) == 0:
         print("fk-compare: every branching run hit the particle cap", file=sys.stderr)
@@ -444,6 +449,7 @@ def cmd_fk_compare(cfg) -> int:
         "halving_shift": halving_shift,
         "halving_pass": halving_pass,
         "pass": bool(passed),
+        **work,
     }
     path = _write_report(cfg, "fk_report.json", report)
     print(

@@ -54,12 +54,10 @@ from .seeds import (
 __all__ = [
     "ObstacleField",
     "Clearing",
-    "field_create",
-    "is_blocked",
-    "nearest_obstacle_distance",
     "largest_clearing",
     "load_points",
     "save_points",
+    "write_header",
 ]
 
 _POISSON_TAIL = 1e-17
@@ -448,22 +446,6 @@ def _chebyshev_shell(c0: tuple, m: int):
             yield tuple(c0[q] + offset[q] for q in range(d))
 
 
-# -- module-level operations (thin wrappers named for what they do) ---------
-
-
-def field_create(d, nu, a, master_seed, cell_size=None) -> ObstacleField:
-    """Create a lazy, reproducible Poisson obstacle field."""
-    return ObstacleField(d, nu, a, master_seed, cell_size)
-
-
-def is_blocked(field: ObstacleField, x) -> bool:
-    return field.is_blocked(x)
-
-
-def nearest_obstacle_distance(field: ObstacleField, x, search_cap: float) -> float:
-    return field.nearest_obstacle_distance(x, search_cap)
-
-
 def largest_clearing(field: ObstacleField, ell: float, resolution: float) -> Clearing:
     """Largest obstacle-free ball centred on a pitch-``resolution`` grid in B(0, ell).
 
@@ -512,13 +494,17 @@ def largest_clearing(field: ObstacleField, ell: float, resolution: float) -> Cle
 # -- point fixtures ----------------------------------------------------------
 
 
+def write_header(fh, header: str | None):
+    """Write each line of ``header`` as a ``# `` comment line; nothing if it is empty."""
+    for line in (header or "").splitlines():
+        fh.write(f"# {line}\n")
+
+
 def save_points(path, points, header: str | None = None):
     """Write points as plain text, one per line, comma-separated coordinates."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     with open(path, "w") as fh:
-        if header:
-            for line in header.splitlines():
-                fh.write(f"# {line}\n")
+        write_header(fh, header)
         for row in pts:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 

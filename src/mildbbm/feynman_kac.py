@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import ObstacleField
+from .environment import ObstacleField, write_header
 from .seeds import derive_seed
 
 __all__ = [
@@ -196,9 +196,7 @@ def estimate_annealed_mass(
 def write_estimates_csv(path, estimates, header: str | None = None):
     """CSV export: t,estimate,log_estimate,se,n_paths,n_envs."""
     with open(path, "w") as fh:
-        if header:
-            for line in header.splitlines():
-                fh.write(f"# {line}\n")
+        write_header(fh, header)
         fh.write("t,estimate,log_estimate,se,n_paths,n_envs\n")
         for est in estimates:
             fh.write(

@@ -1,6 +1,7 @@
 """Engine: thinning exactness, genealogy invariants, coupling, the first moment."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -225,6 +226,149 @@ class TestEngineContract:
         assert stats_b["pruned"] == stats["pruned"]
         assert stats_b["leak_bound"] == pytest.approx(stats["leak_bound"], rel=1e-12)
         assert cells_b == cells
+
+
+def batch_config(beta=1.0, times=(1.5, 3.0), drift=0.5, cap=1_000_000, d=1):
+    mc = ModelConstants(d, 0.5, beta, 0.3)
+    return SimConfig(
+        mc=mc, t_max=times[-1], obs_times=times, drift=drift, particle_cap=cap,
+        balls=(Ball("unit", (0.0,) * d, 1.0),),
+    )
+
+
+def assert_same_curve(a, b):
+    assert a.times.tolist() == b.times.tolist()
+    assert a.counts.tolist() == b.counts.tolist()
+    assert a.radial_max.tolist() == b.radial_max.tolist()
+    assert a.local_counts["unit"].tolist() == b.local_counts["unit"].tolist()
+
+
+def run_of_records(log, n_runs):
+    """Run index of each record of a batch log, read from the genealogy (roots are ids 0..n_runs-1)."""
+    owner = {i: i for i in range(n_runs)}
+    out = []
+    for r in log:
+        if r.particle_id not in owner:
+            owner[r.particle_id] = owner[r.parent_id]
+        out.append(owner[r.particle_id])
+    return out
+
+
+class TestBatch:
+    def test_a_batched_run_equals_its_single_run(self):
+        # each run of a batch draws from its own Generator, so it is the run
+        # that run_bbm gives for its seed and field, whatever else the batch holds
+        fields = [ObstacleField.from_points([], a=0.3, d=1), ObstacleField(1, 2.0, 0.3, 16), ObstacleField(1, 0.5, 0.3, 17)]
+        config = batch_config(times=(1.0, 2.0, 3.0))
+        batch_fields = fields * 20
+        seeds = [derive_seed(16, "run", i) for i in range(len(batch_fields))]
+        curves, _, stats = branching.run_batch(config, batch_fields, seeds)
+        assert not stats["truncated"].any()
+        for curve, field, seed in zip(curves, batch_fields, seeds):
+            single, _ = run_bbm(replace(config, seed=seed), field)
+            assert_same_curve(curve, single)
+        finals = np.asarray([c.counts[-1] for c in curves]).reshape(20, 3)
+        assert finals[:, 0].mean() > 2 * finals[:, 1].mean()
+
+    def test_batched_counts_match_single_runs_in_law(self):
+        # fields shared by many runs: batched final and local counts against
+        # single runs with independent seeds
+        field = ObstacleField(1, 0.5, 0.3, 18)
+        config = batch_config()
+        batched = []
+        for j in range(20):
+            seeds = [derive_seed(18, "batch", j, i) for i in range(64)]
+            batched += branching.run_batch(config, [field] * 64, seeds)[0]
+        single = [run_bbm(replace(config, seed=derive_seed(18, "single", i)), field)[0] for i in range(1280)]
+        for read in (lambda c: c.counts[-1], lambda c: c.local_counts["unit"][-1]):
+            assert st.ks_2samp([read(c) for c in batched], [read(c) for c in single]).pvalue > 0.01
+
+    def test_dichotomy_mean_matches_the_deterministic_solve(self):
+        # the batched experiment against E^omega Z_t(B) over its own environments
+        b, beta, nu, a, seed, runs, times = 1.0, 0.8, 0.5, 0.3, 17, 300, (2.0, 4.0)
+        rep = dichotomy_experiment(b, beta, nu, a, times[-1], runs, seed=seed, obs_times=times)
+        solves = [
+            expected_mass_1d(ObstacleField(1, nu, a, derive_seed(seed, "env", i)), beta, times,
+                             drift=b, ball=(0.0, 1.0), dx=0.05)
+            for i in range(runs)
+        ]
+        oracle = np.mean([s.value for s in solves], axis=0)
+        allowed = (3.0 * np.asarray(rep["mean_local_se"]) + rep["leak_bound_total"] / runs
+                   + np.mean([s.error_bound for s in solves], axis=0))
+        assert rep["truncated_runs"] == 0 and rep["pruned_subtrees"] > 0
+        assert np.all(np.abs(np.asarray(rep["mean_local_counts"]) - oracle) <= allowed)
+
+    def test_each_run_queries_only_its_own_field(self):
+        # one query per candidate that is not pruned, asked of its own run's field
+        fields = [CountingField(ObstacleField(1, 0.5, 0.3, derive_seed(19, "env", i))) for i in range(12)]
+        asked = [[] for _ in fields]
+        for i, f in enumerate(fields):
+            f.field.is_blocked = lambda x, i=i, g=f.field.is_blocked: asked[i].append(tuple(x)) or g(x)
+        config = batch_config(beta=0.8, times=(2.0, 4.0, 6.0), drift=1.0)
+        seeds = [derive_seed(19, "run", i) for i in range(len(fields))]
+        _, log, stats = branching.run_batch(config, fields, seeds, keep_log=True, focus=((0.0,), 1.0), prune_tol=1e-6)
+        assert stats["pruned"].sum() > 0
+        candidates = [[] for _ in fields]
+        for r, run in zip(log, run_of_records(log, len(fields))):
+            if r.kind in ("branch", "candidate-rejected"):
+                candidates[run].append(r.position)
+        for i, f in enumerate(fields):
+            assert f.calls == len(asked[i]) == len(candidates[i]) > 0
+            assert sorted(asked[i]) == sorted(candidates[i])
+        assert sum(f.calls for f in fields) == stats["events"]
+        assert sum(r.kind == "candidate-rejected" for r in log) == stats["rejected"]
+
+    def test_truncating_a_run_leaves_the_others_unchanged(self):
+        config = batch_config(times=(1.0, 2.0, 3.0))
+        seeds = [derive_seed(20, "run", i) for i in range(40)]
+        free, _, _ = branching.run_batch(config, [None] * 40, seeds)
+        cap = int(np.median([c.counts[-1] for c in free]))
+        curves, _, stats = branching.run_batch(replace(config, particle_cap=cap), [None] * 40, seeds)
+        assert 0 < stats["truncated"].sum() < 40
+        for c, f, cut in zip(curves, free, stats["truncated"]):
+            if cut:
+                assert len(c.times) < 3
+                assert c.counts.tolist() == f.counts[: len(c.times)].tolist()
+            else:
+                assert_same_curve(c, f)
+
+    def test_row_budget_bounds_held_rows_and_keeps_results(self, monkeypatch):
+        budget, levels, held = 40, [], []
+        advance, limit = branching._Batch.advance, branching._Batch.limit
+
+        def tracked_advance(self, rows, owned, k):
+            levels.append(rows)
+            try:
+                return advance(self, rows, owned, k)
+            finally:
+                levels.pop()
+
+        def tracked_limit(self, rows, owned, k):
+            owned = limit(self, rows, owned, k)
+            held.append([r["run"].tolist() for r in levels])
+            return owned
+
+        field = ObstacleField(1, 0.5, 0.3, 21)
+        config = batch_config(times=(1.0, 2.0, 4.0), drift=0.0)
+        seeds = [derive_seed(21, "run", i) for i in range(16)]
+        focus = dict(focus=((0.0,), 1.0), prune_tol=1e-3)
+        wide, _, wide_stats = branching.run_batch(config, [field] * 16, seeds, **focus)
+        monkeypatch.setattr(branching, "_ROW_BUDGET", budget)
+        monkeypatch.setattr(branching._Batch, "advance", tracked_advance)
+        monkeypatch.setattr(branching._Batch, "limit", tracked_limit)
+        narrow, _, narrow_stats = branching.run_batch(config, [field] * 16, seeds, **focus)
+        assert sum(len(runs) == 2 for runs in held) > 0  # some runs were finished alone
+        assert max(c.counts.max() for c in narrow) > budget
+        for *outer, inner in held:
+            # the batch outside the run being finished stays within a round's
+            # growth of the budget and no longer holds that run's rows
+            assert sum(len(r) for r in outer) <= 2 * budget
+            assert len(inner) <= budget or len(set(inner)) == 1
+            assert not set(inner) & {i for r in outer for i in r}
+        for a, b in zip(wide, narrow):
+            assert_same_curve(a, b)
+        assert narrow_stats["pruned"].tolist() == wide_stats["pruned"].tolist() and wide_stats["pruned"].sum() > 0
+        assert narrow_stats["leak_bound"] == pytest.approx(wide_stats["leak_bound"], rel=1e-12)
 
 
 class TestFirstMoment:

@@ -51,6 +51,31 @@ class TestGenEnv:
         assert read(out1 / "env_summary.json") == read(out2 / "env_summary.json")
 
 
+class TestHeaders:
+    def test_a_multi_line_header_gives_only_comment_lines(self, tmp_path, monkeypatch):
+        from mildbbm import cli
+        from mildbbm.branching import GenealogyLog
+        from mildbbm.environment import save_points
+        from mildbbm.feynman_kac import FkEstimate, write_estimates_csv
+
+        header = "spec line one\nspec line two"
+        monkeypatch.setattr(cli, "_header", lambda cfg: header)
+        out = tmp_path / "g"
+        rc = main(["growth-curve", "--t-max", "1", "--replicates", "1", "--out", str(out)])
+        assert rc == 0
+        est = FkEstimate(t=1.0, point_estimate=2.0, log_estimate=0.69, std_error=0.1, n_paths=4,
+                         n_environments=1, log_std_error=0.05)
+        write_estimates_csv(tmp_path / "fk.csv", [est], header=header)
+        save_points(tmp_path / "pts.txt", [[0.0]], header=header)
+        GenealogyLog().to_jsonl(tmp_path / "log.jsonl", header=header)
+        files = [out / "aggregated.csv", out / "predicted.csv", out / "replicate_0000.csv",
+                 tmp_path / "fk.csv", tmp_path / "pts.txt", tmp_path / "log.jsonl"]
+        for path in files:
+            lines = read(path).splitlines()
+            assert lines[:2] == ["# spec line one", "# spec line two"], path
+            assert [line for line in lines if line.startswith("#")] == lines[:2], path
+
+
 class TestGrowthCurve:
     def test_outputs_and_diagnostic_column(self, tmp_path):
         out = tmp_path / "g"
@@ -127,6 +152,23 @@ class TestGates:
         assert rep["pass"]
         csv = read(out / "fk_estimates.csv").splitlines()
         assert csv[1] == "t,estimate,log_estimate,se,n_paths,n_envs"
+
+    def test_fk_compare_runs_do_not_depend_on_blocks_or_workers(self, tmp_path, monkeypatch):
+        from mildbbm import cli
+
+        base = ["fk-compare", "--t-max", "1.5", "--runs", "150", "--n-paths", "200", "--dt", "1e-2",
+                "--no-dt-halving", "--seed", "8"]
+        outs = {}
+        for tag, block, workers in (("w1", 64, 1), ("w2", 64, 2), ("b7", 7, 1)):
+            monkeypatch.setattr(cli, "_FK_BLOCK", block)
+            out = tmp_path / tag
+            assert main(base + ["--workers", str(workers), "--out", str(out)]) in (0, 1)
+            outs[tag] = json.loads(read(out / "fk_report.json"))
+        assert outs["w1"] == outs["w2"]
+        assert outs["b7"]["rounds"] > outs["w1"]["rounds"]
+        for key in ("branch_mean", "branch_se", "events", "rejected", "fk_estimate"):
+            assert outs["b7"][key] == outs["w1"][key]
+        assert outs["w1"]["events"] > outs["w1"]["rejected"] > 0
 
     def test_dichotomy_labels_extinct(self, tmp_path):
         out = tmp_path / "dich"

@@ -10,11 +10,8 @@ from scipy import stats as st
 from mildbbm.environment import (
     Clearing,
     ObstacleField,
-    field_create,
-    is_blocked,
     largest_clearing,
     load_points,
-    nearest_obstacle_distance,
     save_points,
 )
 
@@ -25,10 +22,10 @@ class TestCreation:
             kw = dict(d=1, nu=1.0, a=0.2, master_seed=1, cell_size=1.0)
             kw.update(bad)
             with pytest.raises(ValueError):
-                field_create(**kw)
+                ObstacleField(**kw)
 
     def test_record_round_trip(self):
-        f = field_create(2, 0.7, 0.4, 99, 1.5)
+        f = ObstacleField(2, 0.7, 0.4, 99, 1.5)
         g = ObstacleField.from_record(f.spec_record())
         assert g.spec_record() == f.spec_record()
         pts_f = f.realize_box([-3, -3], [3, 3])
@@ -37,20 +34,20 @@ class TestCreation:
 
     def test_huge_cell_mean_rejected(self):
         with pytest.raises(ValueError):
-            field_create(1, 5000.0, 0.2, 1, 10.0)
+            ObstacleField(1, 5000.0, 0.2, 1, 10.0)
 
 
 class TestDeterminism:
     def test_same_cell_twice_identical(self):
-        f = field_create(1, 1.0, 0.25, 7, 1.0)
+        f = ObstacleField(1, 1.0, 0.25, 7, 1.0)
         first = f._cell_points((3,)).copy()
         f._cells.clear()
         again = f._cell_points((3,))
         assert np.array_equal(first, again)
 
     def test_query_order_independence(self):
-        fa = field_create(2, 0.8, 0.3, 123, 1.0)
-        fb = field_create(2, 0.8, 0.3, 123, 1.0)
+        fa = ObstacleField(2, 0.8, 0.3, 123, 1.0)
+        fb = ObstacleField(2, 0.8, 0.3, 123, 1.0)
         rng = random.Random(5)
         queries = [(rng.uniform(-8, 8), rng.uniform(-8, 8)) for _ in range(300)]
         ans_a = [fa.is_blocked(q) for q in queries]
@@ -62,8 +59,8 @@ class TestDeterminism:
     def test_scalar_matches_bulk(self):
         # the vectorised realisation path must be bit-identical to the
         # scalar one
-        fa = field_create(1, 1.3, 0.2, 2024, 0.7)
-        fb = field_create(1, 1.3, 0.2, 2024, 0.7)
+        fa = ObstacleField(1, 1.3, 0.2, 2024, 0.7)
+        fb = ObstacleField(1, 1.3, 0.2, 2024, 0.7)
         bulk = fa.realize_box([-7.0], [7.0])
         cells = range(-10, 10)
         scalar = np.concatenate([fb._cell_points((c,)) for c in cells])
@@ -71,20 +68,20 @@ class TestDeterminism:
         assert np.array_equal(np.sort(bulk[:, 0]), np.sort(scalar[:, 0]))
 
     def test_different_seeds_differ(self):
-        f1 = field_create(1, 1.0, 0.2, 1, 1.0)
-        f2 = field_create(1, 1.0, 0.2, 2, 1.0)
+        f1 = ObstacleField(1, 1.0, 0.2, 1, 1.0)
+        f2 = ObstacleField(1, 1.0, 0.2, 2, 1.0)
         assert not np.array_equal(f1.realize_box([-50], [50]), f2.realize_box([-50], [50]))
 
 
 class TestPoissonStatistics:
     def test_total_count_band(self):
         # nu=2 over [0, 1e4): mean 2e4, sd ~ 141
-        f = field_create(1, 2.0, 0.2, 31415, 1.0)
+        f = ObstacleField(1, 2.0, 0.2, 31415, 1.0)
         n = len(f.realize_box([0.0], [1e4]))
         assert abs(n - 2e4) < 3 * math.sqrt(2e4)
 
     def test_cell_counts_chisquare(self):
-        f = field_create(1, 1.0, 0.2, 777, 1.0)
+        f = ObstacleField(1, 1.0, 0.2, 777, 1.0)
         counts = np.asarray([len(f._cell_points((c,))) for c in range(4000)])
         kmax = 5
         obs = np.bincount(np.minimum(counts, kmax), minlength=kmax + 1)
@@ -94,7 +91,7 @@ class TestPoissonStatistics:
         assert res.pvalue > 0.01
 
     def test_disjoint_boxes_independent_means(self):
-        f = field_create(2, 1.5, 0.3, 909, 1.0)
+        f = ObstacleField(2, 1.5, 0.3, 909, 1.0)
         counts = [
             len(f.realize_box([i * 4.0, j * 4.0], [i * 4.0 + 4.0, j * 4.0 + 4.0]))
             for i in range(5)
@@ -118,7 +115,7 @@ class TestBlocking:
             assert not f.is_blocked(x)
 
     def test_consistency_with_nearest_distance(self):
-        f = field_create(1, 1.0, 0.25, 5150, 1.0)
+        f = ObstacleField(1, 1.0, 0.25, 5150, 1.0)
         rng = np.random.default_rng(0)
         xs = rng.uniform(-40, 40, size=100_000)
         blocked = f.is_blocked_many(xs)
@@ -133,7 +130,7 @@ class TestBlocking:
 
     def test_blocked_fraction_matches_vacancy(self):
         # fraction of the line covered by obstacle intervals: 1 - e^{-2 nu a}
-        f = field_create(1, 0.5, 0.3, 606, 1.0)
+        f = ObstacleField(1, 0.5, 0.3, 606, 1.0)
         xs = np.linspace(-2000, 2000, 200_001)
         frac = f.is_blocked_many(xs).mean()
         assert frac == pytest.approx(1 - math.exp(-0.3), abs=0.01)
@@ -152,10 +149,10 @@ def boundary_queries(centres, a):
 
 class TestBlockingTable:
     def test_ball_edges_and_their_float_neighbours(self):
-        f = field_create(1, 1.0, 0.3, 31, 1.0)
+        f = ObstacleField(1, 1.0, 0.3, 31, 1.0)
         centres = f.realize_box([-20.0], [20.0])[:, 0]
         xs = boundary_queries(centres, f.a)
-        fresh = field_create(1, 1.0, 0.3, 31, 1.0)
+        fresh = ObstacleField(1, 1.0, 0.3, 31, 1.0)
         assert np.array_equal(fresh.is_blocked_many(xs), exact_blocked(fresh, xs))
         # the closed ball: c +- a is blocked, the next float outwards is not
         one = ObstacleField.from_points([[0.0]], a=0.3)
@@ -163,14 +160,14 @@ class TestBlockingTable:
         assert not one.is_blocked_many(np.nextafter(np.array([0.3, -0.3]), [1.0, -1.0])).any()
 
     def test_random_queries_match_exact_rule(self):
-        f = field_create(1, 2.0, 0.25, 8, 0.7)
+        f = ObstacleField(1, 2.0, 0.25, 8, 0.7)
         xs = np.random.default_rng(2).normal(0.0, 15.0, 200_000)
         assert np.array_equal(f.is_blocked_many(xs), exact_blocked(f, xs))
 
     def test_table_answers_most_queries(self):
         from mildbbm.environment import _MIXED
 
-        f = field_create(1, 1.0, 0.3, 12, 1.0)
+        f = ObstacleField(1, 1.0, 0.3, 12, 1.0)
         xs = np.random.default_rng(0).uniform(-30.0, 30.0, 50_000)
         f.is_blocked_many(xs)
         cache = f._bulk_cache
@@ -178,13 +175,13 @@ class TestBlockingTable:
         assert (state == _MIXED).mean() < 0.05
 
     def test_far_queries_grow_the_table(self):
-        f = field_create(1, 1.0, 0.3, 77, 1.0)
+        f = ObstacleField(1, 1.0, 0.3, 77, 1.0)
         near = np.linspace(-3.0, 3.0, 1001)
         f.is_blocked_many(near)
         assert f.bulk_rebuilds == 1
         for far in (1e4, -2.5e4, 3.1e5):
             xs = far + np.linspace(-3.0, 3.0, 1001)
-            fresh = field_create(1, 1.0, 0.3, 77, 1.0)
+            fresh = ObstacleField(1, 1.0, 0.3, 77, 1.0)
             assert np.array_equal(f.is_blocked_many(xs), exact_blocked(fresh, xs))
         assert f.bulk_rebuilds == 4
         assert np.array_equal(f.is_blocked_many(near), exact_blocked(fresh, near))
@@ -198,17 +195,17 @@ class TestBlockingTable:
         empty = ObstacleField.from_points([], a=0.4, d=1)
         assert not empty.is_blocked_many(xs).any()
         assert empty.is_blocked_many(np.empty(0)).shape == (0,)
-        assert field_create(2, 0.5, 0.3, 1, 1.0).is_blocked_many(np.empty((0, 2))).shape == (0,)
+        assert ObstacleField(2, 0.5, 0.3, 1, 1.0).is_blocked_many(np.empty((0, 2))).shape == (0,)
 
     def test_answers_do_not_depend_on_query_history(self):
         xs = np.random.default_rng(9).uniform(-40.0, 40.0, 20_000)
-        plain = field_create(1, 1.0, 0.3, 404, 1.0)
+        plain = ObstacleField(1, 1.0, 0.3, 404, 1.0)
         first = plain.is_blocked_many(xs)
         # a box wider than 2^20 bins of a/16 widens the bins
-        wide = field_create(1, 1.0, 0.3, 404, 1.0)
+        wide = ObstacleField(1, 1.0, 0.3, 404, 1.0)
         wide.is_blocked_many(np.array([-2e4, 2e4]))
         # small boxes grown piece by piece
-        grown = field_create(1, 1.0, 0.3, 404, 1.0)
+        grown = ObstacleField(1, 1.0, 0.3, 404, 1.0)
         for lo in range(-40, 40, 5):
             grown.is_blocked_many(np.array([float(lo)]))
         assert 1.0 / wide._bulk_cache.inv_h > wide.a / 16
@@ -233,7 +230,7 @@ class TestBlockingTable:
         # the shape of the fk benchmark: 512 paths to t = 10 at dt = 1e-3
         from mildbbm.feynman_kac import sample_free_times
 
-        f = field_create(1, 1.0, 0.3, 2718, 1.0)
+        f = ObstacleField(1, 1.0, 0.3, 2718, 1.0)
         sample_free_times(f, 1.0, 10.0, 1e-3, 512, seed=3)
         # each rebuild at least doubles the width, and the first box is at
         # least 2 * (margin + pad) = 12 wide
@@ -242,7 +239,7 @@ class TestBlockingTable:
         assert f.bulk_rebuilds <= 4
 
     def test_d2_box_grows_geometrically(self):
-        f = field_create(2, 0.5, 0.3, 2718, 1.0)
+        f = ObstacleField(2, 0.5, 0.3, 2718, 1.0)
         for r in np.geomspace(1.0, 200.0, 40):
             f.is_blocked_many(np.array([[r, -r], [-r, r]]))
         # the box must reach about +-200 from about +-6: at most log2(400 / 12) + 1 builds
@@ -257,10 +254,10 @@ class TestNearestDistance:
     def test_exceeds_cap(self):
         f = ObstacleField.from_points([[3.0]], a=0.5)
         assert f.nearest_obstacle_distance((0.0,), 2.0) == math.inf
-        assert nearest_obstacle_distance(f, (0.0,), 4.0) == pytest.approx(3.0)
+        assert f.nearest_obstacle_distance((0.0,), 4.0) == pytest.approx(3.0)
 
     def test_d2_against_brute_force(self):
-        f = field_create(2, 1.0, 0.3, 8888, 1.0)
+        f = ObstacleField(2, 1.0, 0.3, 8888, 1.0)
         pts = f.realize_box([-12, -12], [12, 12])
         rng = np.random.default_rng(3)
         for _ in range(100):
@@ -269,7 +266,7 @@ class TestNearestDistance:
             assert f.nearest_obstacle_distance(x, 8.0) == pytest.approx(brute, abs=1e-9)
 
     def test_d2_bulk_matches_scalar(self):
-        f = field_create(2, 0.8, 0.4, 999, 1.0)
+        f = ObstacleField(2, 0.8, 0.4, 999, 1.0)
         rng = np.random.default_rng(4)
         xs = rng.uniform(-6, 6, size=(2000, 2))
         bulk = f.is_blocked_many(xs)
@@ -285,13 +282,13 @@ class TestLargestClearing:
         assert cl.radius == pytest.approx(4.0, abs=0.02)
 
     def test_invariant_rechecked(self):
-        f = field_create(1, 1.0, 0.15, 4242, 1.0)
+        f = ObstacleField(1, 1.0, 0.15, 4242, 1.0)
         cl = largest_clearing(f, 200.0, 0.05)
         d = f.nearest_obstacle_distance(cl.center, cl.radius + f.a + 2.0)
         assert d >= cl.radius + f.a - 1e-9
 
     def test_monotone_in_search_radius(self):
-        f = field_create(1, 1.0, 0.1, 560, 1.0)
+        f = ObstacleField(1, 1.0, 0.1, 560, 1.0)
         radii = [largest_clearing(f, ell, 0.25).radius for ell in (50.0, 200.0, 800.0)]
         assert radii[0] <= radii[1] <= radii[2]
 
@@ -300,7 +297,7 @@ class TestLargestClearing:
         assert largest_clearing(f, 10.0, 0.5).radius == math.inf
 
     def test_d2_smoke(self):
-        f = field_create(2, 0.5, 0.3, 11, 1.0)
+        f = ObstacleField(2, 0.5, 0.3, 11, 1.0)
         cl = largest_clearing(f, 6.0, 0.25)
         assert cl.radius >= 0.0
         d = f.nearest_obstacle_distance(cl.center, cl.radius + f.a + 2.0)
@@ -325,5 +322,5 @@ class TestFixtures:
 
     def test_module_level_wrappers(self):
         f = ObstacleField.from_points([[0.0]], a=1.0)
-        assert is_blocked(f, (0.5,))
+        assert f.is_blocked((0.5,))
         assert isinstance(largest_clearing(f, 3.0, 0.5), Clearing)
