@@ -43,9 +43,7 @@ marked truncated, and the others carry on.
 from __future__ import annotations
 
 import json
-import itertools
 import math
-import operator
 import random
 from dataclasses import asdict, dataclass
 
@@ -135,6 +133,8 @@ class LogRecord:
 
 _KINDS = ("birth-root", "branch", "candidate-rejected", "observed")
 _ROOT, _BRANCH, _REJECTED, _OBSERVED = range(4)
+# the kind of a decided candidate, indexed by whether it split
+_DECIDED = np.array([_REJECTED, _BRANCH], dtype=np.int8)
 
 
 class GenealogyLog:
@@ -268,6 +268,10 @@ def _inside(pos, center, radius):
     return _sq_dist(pos, np.asarray(center, dtype=float)) < radius * radius
 
 
+def _ask(query, point):
+    return query(point)
+
+
 def _blocked(queries, p, run):
     """``queries[run[i]](p[i])`` for each row, asked in row order; a single
     query serves every row.
@@ -275,15 +279,15 @@ def _blocked(queries, p, run):
     Rows are converted to Python lists a chunk at a time, so the temporary
     objects stay bounded however many candidates a round holds.
     """
-    starts = range(0, len(p), _CHUNK)
-    if len(queries) == 1:
-        chunks = (map(queries[0], p[lo : lo + _CHUNK].tolist()) for lo in starts)
-    else:
-        ask = queries.__getitem__
-        chunks = (
-            map(operator.call, map(ask, run[lo : lo + _CHUNK].tolist()), p[lo : lo + _CHUNK].tolist()) for lo in starts
-        )
-    return np.fromiter(itertools.chain.from_iterable(chunks), dtype=bool, count=len(p))
+    out = np.empty(len(p), dtype=bool)
+    for lo in range(0, len(p), _CHUNK):
+        chunk = p[lo : lo + _CHUNK].tolist()
+        if len(queries) == 1:
+            asked = map(queries[0], chunk)
+        else:
+            asked = map(_ask, map(queries.__getitem__, run[lo : lo + _CHUNK].tolist()), chunk)
+        out[lo : lo + len(chunk)] = np.fromiter(asked, dtype=bool, count=len(chunk))
+    return out
 
 
 def _drop(rows, gone):
@@ -308,6 +312,8 @@ class _Batch:
         n = len(fields)
         if n == 0 or len(seeds) != n:
             raise ValueError(f"a batch needs one seed per field and at least one run, got {len(seeds)} and {n}")
+        if any(f is None for f in fields) and not all(f is None for f in fields):
+            raise ValueError("a batch runs either the free process (every field None) or among obstacles (no field None)")
         self.config = config
         self.d, self.mean_gap = config.mc.d, 1.0 / config.mc.beta
         if fields[0] is None:
@@ -318,26 +324,26 @@ class _Batch:
             self.queries = [f.is_blocked for f in fields]
         self.gens = [np.random.default_rng(seed) for seed in seeds]
         # None for no drift: adding 0.0 would change nothing but a zero's sign
-        self.drift = np.asarray(config.drift_vector) if any(config.drift_vector) else None
+        drift = config.drift_vector
+        self.drift = np.asarray(drift) if any(drift) else None
         self.log = GenealogyLog() if keep_log else None
         n_obs, n_balls = len(config.obs_times), len(config.balls)
         self.counts = np.zeros((n, n_obs), dtype=np.int64)
         self.local = np.zeros((n, n_balls, n_obs), dtype=np.int64)
-        self.radial = np.zeros((n, n_obs))
+        self.radial = np.zeros((n, n_obs))  # squared until curves()
         self.r2max = np.zeros(n)
         self.seen = np.full(n, n_obs)  # observations a run completed
         self.truncated = np.zeros(n, dtype=bool)
         self.pruned = np.zeros(n, dtype=np.int64)
         self.leak = np.zeros(n)
         self.events = self.rejected = self.rounds = 0
-        self.most = min(config.particle_cap, _ROW_BUDGET)  # rows past which limit() has work
         self.next_id = n
         self.prune = focus is not None and prune_tol > 0
         if self.prune:
             self.f_center = np.atleast_1d(np.asarray(focus[0], dtype=float))
             self.f_radius = float(focus[1])
             self.gain = -math.log(prune_tol)
-            self.b_norm = math.hypot(*config.drift_vector)
+            self.b_norm = math.hypot(*drift)
 
     def start(self):
         """Rows of one particle at the origin per run."""
@@ -438,6 +444,7 @@ class _Batch:
         per-run arrays: a slice for a whole batch), from inside epoch ``k0``
         to the last observation time."""
         obs = self.config.obs_times
+        most = self.most(owned)
         for k in range(k0, len(obs)):
             future = np.asarray(obs[k:])
             safe = 0.0
@@ -445,9 +452,16 @@ class _Batch:
                 # reach() is concave, so its minimum over the epoch is at an end
                 safe = min(self.reach(obs[-1] - obs[k]), self.reach(obs[-1] - (obs[k - 1] if k else 0.0)))
             while self.round(rows, future, safe):
-                if len(rows["run"]) > self.most:
+                if len(rows["run"]) > most:
                     owned = self.limit(rows, owned, k)
+                    most = self.most(owned)
             self.observe(rows, owned, k)
+
+    def most(self, owned):
+        """Rows past which :meth:`limit` has work for the runs ``owned``: the
+        row budget binds only while they are two or more."""
+        cap = self.config.particle_cap
+        return cap if np.arange(len(self.seen))[owned].size == 1 else min(cap, _ROW_BUDGET)
 
     def round(self, rows, future, safe):
         """One round: every row with a candidate before ``future[0]`` steps
@@ -485,8 +499,7 @@ class _Batch:
         self.events += due.size
         self.rejected += due.size - n_split
         if log is not None:
-            kinds = np.where(split, np.int8(_BRANCH), np.int8(_REJECTED))
-            log._add(tc, rows["ids"][due], kinds, p, rows["parents"][due])
+            log._add(tc, rows["ids"][due], _DECIDED[split.view(np.uint8)], p, rows["parents"][due])
         # every stepped row moves to its candidate with a fresh clock; an
         # accepted candidate's row becomes its first child, and the second
         # child is appended.  A run's fresh gaps are drawn in one call, its
@@ -526,7 +539,7 @@ class _Batch:
         if len(pos):
             np.maximum.at(self.r2max, run, (pos * pos).sum(axis=1))
         self.counts[owned, k] = np.bincount(run, minlength=n)[owned]
-        self.radial[owned, k] = np.sqrt(self.r2max[owned])
+        self.radial[owned, k] = self.r2max[owned]
         for q, b in enumerate(config.balls):
             self.local[owned, q, k] = np.bincount(run[_inside(pos, b.center, b.radius)], minlength=n)[owned]
         if self.log is not None:
@@ -572,8 +585,9 @@ class _Batch:
 
     def curves(self):
         """GrowthCurve of each run, cut at its truncation if it has one."""
+        radial = np.sqrt(self.radial)
         return [
-            _curve(self.config, self.counts[r, :s], self.radial[r, :s], self.local[r, :, :s])
+            _curve(self.config, self.counts[r, :s], radial[r, :s], self.local[r, :, :s])
             for r, s in enumerate(self.seen.tolist())
         ]
 
@@ -582,7 +596,8 @@ def run_batch(config: SimConfig, fields, seeds, *, keep_log=False, focus=None, p
     """Simulate one run of ``config`` per entry of ``fields`` as one batch.
 
     Run i branches among the obstacles of ``fields[i]``; a batch of ``None``
-    entries runs the free process, where every candidate is accepted.  Run i
+    entries runs the free process, where every candidate is accepted (a
+    batch that mixes ``None`` with fields raises ValueError).  Run i
     draws from its own numpy Generator seeded by ``seeds[i]`` (``config.seed``
     is not read), in the order it would alone, so it is the run that
     :func:`run_bbm` gives for that seed and field.  Returns

@@ -1,6 +1,7 @@
 """Engine: thinning exactness, genealogy invariants, coupling, the first moment."""
 
 import math
+import operator
 from dataclasses import replace
 
 import numpy as np
@@ -332,9 +333,37 @@ class TestBatch:
             else:
                 assert_same_curve(c, f)
 
+    def test_free_and_obstacle_runs_do_not_mix(self):
+        # a None field asks for the free process, so a batch is all free or all among obstacles
+        field = ObstacleField(1, 0.5, 0.3, 22)
+        for fields in ([None, field], [field, None]):
+            with pytest.raises(ValueError):
+                branching.run_batch(batch_config(), fields, [1, 2])
+
+    def test_runs_on_distinct_fields_need_no_operator_call(self, monkeypatch):
+        # operator.call is new in Python 3.11, and the package supports 3.10
+        monkeypatch.delattr(operator, "call", raising=False)
+        fields = [ObstacleField(1, 0.5, 0.3, derive_seed(23, "env", i)) for i in range(3)]
+        seeds = [derive_seed(23, "run", i) for i in range(3)]
+        config = batch_config()
+        curves, _, _ = branching.run_batch(config, fields, seeds)
+        for curve, field, seed in zip(curves, fields, seeds):
+            assert_same_curve(curve, run_bbm(replace(config, seed=seed), field)[0])
+
+    def test_a_run_held_alone_reaches_limit_only_past_the_cap(self, monkeypatch):
+        # the row budget only sets runs aside, so it has no work while one run is held
+        calls, limit = [], branching._Batch.limit
+        monkeypatch.setattr(branching, "_ROW_BUDGET", 40)
+        monkeypatch.setattr(branching._Batch, "limit", lambda self, *args: calls.append(1) or limit(self, *args))
+        curve, _ = run_free_bbm(free_config(t_max=5.0, obs=(2.5, 5.0), seed=25))
+        assert curve.counts[-1] > 40 and not calls
+        with pytest.raises(ParticleCapExceeded):
+            run_free_bbm(free_config(t_max=5.0, obs=(2.5, 5.0), seed=25, cap=60))
+        assert calls
+
     def test_row_budget_bounds_held_rows_and_keeps_results(self, monkeypatch):
         budget, levels, held = 40, [], []
-        advance, limit = branching._Batch.advance, branching._Batch.limit
+        advance, step = branching._Batch.advance, branching._Batch.round
 
         def tracked_advance(self, rows, owned, k):
             levels.append(rows)
@@ -343,10 +372,9 @@ class TestBatch:
             finally:
                 levels.pop()
 
-        def tracked_limit(self, rows, owned, k):
-            owned = limit(self, rows, owned, k)
+        def tracked_round(self, rows, future, safe):
             held.append([r["run"].tolist() for r in levels])
-            return owned
+            return step(self, rows, future, safe)
 
         field = ObstacleField(1, 0.5, 0.3, 21)
         config = batch_config(times=(1.0, 2.0, 4.0), drift=0.0)
@@ -355,13 +383,14 @@ class TestBatch:
         wide, _, wide_stats = branching.run_batch(config, [field] * 16, seeds, **focus)
         monkeypatch.setattr(branching, "_ROW_BUDGET", budget)
         monkeypatch.setattr(branching._Batch, "advance", tracked_advance)
-        monkeypatch.setattr(branching._Batch, "limit", tracked_limit)
+        monkeypatch.setattr(branching._Batch, "round", tracked_round)
         narrow, _, narrow_stats = branching.run_batch(config, [field] * 16, seeds, **focus)
         assert sum(len(runs) == 2 for runs in held) > 0  # some runs were finished alone
         assert max(c.counts.max() for c in narrow) > budget
         for *outer, inner in held:
-            # the batch outside the run being finished stays within a round's
-            # growth of the budget and no longer holds that run's rows
+            # at the start of a round, the batch outside the run being finished
+            # stays within a round's growth of the budget and no longer holds
+            # that run's rows
             assert sum(len(r) for r in outer) <= 2 * budget
             assert len(inner) <= budget or len(set(inner)) == 1
             assert not set(inner) & {i for r in outer for i in r}
