@@ -25,12 +25,18 @@ Replicates are independent runs, and many of them can be stepped as one
 batch (:func:`run_batch`): the rows of every run share the arrays, with a
 ``run`` column naming each row's run, so a round steps the due rows of all
 runs at once and its per-round cost is paid once per batch instead of once
-per run.  Each run asks its own field and draws from its own numpy
-Generator, seeded by its run seed; a round's draws are taken run by run, in
-row order within each run, in the order a run alone would take them.  A
-run is therefore a function of its seed and its field alone, the same in
-a batch as alone (``run_bbm`` is a batch of one), and never depends on
-scheduling, on the other runs of its batch, or on their truncation.
+per run.  Each run's candidates are decided by its own field.  In d = 1 a
+round asks one table: runs that share a field ask its ``is_blocked_many``,
+and runs on distinct fields ask a
+:class:`~mildbbm.environment.StackedTable` owned by the batch, with a row
+per field, so a whole round is answered by one gather; both give the exact
+scalar rule's answers.  In d >= 2 each candidate asks its field's scalar
+``is_blocked``.  Each run draws from its own numpy Generator, seeded by its
+run seed; a round's draws are taken run by run, in row order within each
+run, in the order a run alone would take them.  A run is therefore a
+function of its seed and its field alone, the same in a batch as alone
+(``run_bbm`` is a batch of one), and never depends on scheduling, on the
+other runs of its batch, or on their truncation.
 Within a campaign, run seeds are derived as hash(master seed, run index).
 
 Held rows stay bounded by one heavy run rather than by the sum over runs:
@@ -50,7 +56,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .analysis import ModelConstants, lambda_c_constant_drift
-from .environment import ObstacleField, write_header
+from .environment import ObstacleField, StackedTable, write_header
 from .seeds import derive_seed
 
 __all__ = [
@@ -272,21 +278,43 @@ def _ask(query, point):
     return query(point)
 
 
-def _blocked(queries, p, run):
-    """``queries[run[i]](p[i])`` for each row, asked in row order; a single
-    query serves every row.
+def _scalar_asker(fields):
+    """Per-row queries for d >= 2: ``fields[run[i]].is_blocked(p[i])`` in
+    row order, or one field's query for every row when all runs share it."""
+    if all(f is fields[0] for f in fields):
+        query = fields[0].is_blocked
+        return lambda p, run: np.fromiter(map(query, p.tolist()), dtype=bool, count=len(p))
+    queries = [f.is_blocked for f in fields]
+    return lambda p, run: np.fromiter(
+        map(_ask, map(queries.__getitem__, run.tolist()), p.tolist()), dtype=bool, count=len(p)
+    )
 
-    Rows are converted to Python lists a chunk at a time, so the temporary
-    objects stay bounded however many candidates a round holds.
+
+def _table_asker(fields):
+    """Bulk queries for d = 1, one call per block of rows.
+
+    Runs that share one field ask its own ``is_blocked_many`` (and its warm
+    table); runs on distinct fields ask a :class:`StackedTable` with one
+    row per distinct field.  Returns the asker and the stacked table (None
+    for a shared field).
     """
+    if all(f is fields[0] for f in fields):
+        many = fields[0].is_blocked_many
+        return (lambda p, run: many(p[:, 0])), None
+    index = {}
+    row_of = np.asarray([index.setdefault(id(f), len(index)) for f in fields])
+    table = StackedTable(list({id(f): f for f in fields}.values()))
+    return (lambda p, run: table.is_blocked(p[:, 0], row_of[run])), table
+
+
+def _blocked(ask, p, run):
+    """``ask`` over blocks of at most ``_CHUNK`` rows, so the temporaries of
+    a query stay bounded however many candidates a round holds."""
+    if len(p) <= _CHUNK:
+        return ask(p, run)
     out = np.empty(len(p), dtype=bool)
     for lo in range(0, len(p), _CHUNK):
-        chunk = p[lo : lo + _CHUNK].tolist()
-        if len(queries) == 1:
-            asked = map(queries[0], chunk)
-        else:
-            asked = map(_ask, map(queries.__getitem__, run[lo : lo + _CHUNK].tolist()), chunk)
-        out[lo : lo + len(chunk)] = np.fromiter(asked, dtype=bool, count=len(chunk))
+        out[lo : lo + _CHUNK] = ask(p[lo : lo + _CHUNK], run[lo : lo + _CHUNK])
     return out
 
 
@@ -306,6 +334,9 @@ class _Batch:
     ``last`` (the time of ``pos``), ``clock`` (the next candidate time) and
     ``run`` (the run's index), plus ``ids`` and ``parents`` when a log is
     kept.  Observations, pruning and truncation are kept per run.
+    ``ask(p, run)`` answers whether the candidates at ``p`` are blocked
+    (None for the free process), and ``table`` is the batch's own stacked
+    table, if it has one.
     """
 
     def __init__(self, config, fields, seeds, keep_log, focus, prune_tol):
@@ -316,12 +347,13 @@ class _Batch:
             raise ValueError("a batch runs either the free process (every field None) or among obstacles (no field None)")
         self.config = config
         self.d, self.mean_gap = config.mc.d, 1.0 / config.mc.beta
+        self.table = None
         if fields[0] is None:
-            self.queries = None
-        elif all(f is fields[0] for f in fields):
-            self.queries = [fields[0].is_blocked]
+            self.ask = None
+        elif self.d == 1:
+            self.ask, self.table = _table_asker(fields)
         else:
-            self.queries = [f.is_blocked for f in fields]
+            self.ask = _scalar_asker(fields)
         self.gens = [np.random.default_rng(seed) for seed in seeds]
         # None for no drift: adding 0.0 would change nothing but a zero's sign
         drift = config.drift_vector
@@ -491,10 +523,10 @@ class _Batch:
                 tc = tc[stay]
                 p = p[stay]
                 run = run[stay]
-        if self.queries is None:
+        if self.ask is None:
             split = np.ones(due.size, dtype=bool)
         else:
-            split = ~_blocked(self.queries, p, run)
+            split = ~_blocked(self.ask, p, run)
         n_split = int(np.count_nonzero(split))
         self.events += due.size
         self.rejected += due.size - n_split
@@ -606,8 +638,15 @@ def run_batch(config: SimConfig, fields, seeds, *, keep_log=False, focus=None, p
     genealogy log (``None`` unless ``keep_log``; particle ids are unique
     across the batch), and a dict of per-run arrays ``truncated``,
     ``pruned`` and ``leak_bound`` with the batch's work counts ``events``
-    (candidates decided: branches plus rejections), ``rejected`` and
-    ``rounds`` (array rounds stepped).
+    (candidates decided: branches plus rejections), ``rejected``,
+    ``rounds`` (array rounds stepped) and ``table_builds``.
+
+    In d = 1 each round's candidates are answered by one table lookup per
+    block of ``_CHUNK`` rows: runs on distinct fields ask a stacked table
+    owned by the batch (``table_builds`` counts its builds), and runs that
+    all share one field ask that field's own table (``table_builds`` is 0:
+    the field's rebuilds depend on its query history, not on this batch).
+    In d >= 2 each candidate asks the scalar ``is_blocked``.
 
     With ``focus = (center, radius)`` particles whose expected
     free-population contribution to that ball at every remaining
@@ -624,6 +663,7 @@ def run_batch(config: SimConfig, fields, seeds, *, keep_log=False, focus=None, p
         "events": batch.events,
         "rejected": batch.rejected,
         "rounds": batch.rounds,
+        "table_builds": 0 if batch.table is None else batch.table.builds,
     }
     return batch.curves(), batch.log, stats
 
@@ -692,7 +732,10 @@ def trim_coupling(free_log: GenealogyLog, field: ObstacleField, seed: int) -> Ge
     branch, children = _tree_from_log(free_log)
     rng = random.Random(seed)
     deleted = set()
-    for pid, (bt, pos) in sorted(branch.items(), key=lambda kv: (kv[1][0], kv[0])):
+    events = sorted(branch.items(), key=lambda kv: (kv[1][0], kv[0]))
+    # one bulk query for every branch position, asked or not below
+    at = np.asarray([pos for _, (_, pos) in events], dtype=float).reshape(len(events), field.d)
+    for (pid, _), blocked in zip(events, field.is_blocked_many(at).tolist()):
         kids = sorted(children.get(pid, ()))
         if len(kids) != 2:
             raise ValueError(
@@ -701,7 +744,7 @@ def trim_coupling(free_log: GenealogyLog, field: ObstacleField, seed: int) -> Ge
             )
         if pid in deleted:
             deleted.update(kids)
-        elif field.is_blocked(pos):
+        elif blocked:
             deleted.add(kids[0] if rng.random() < 0.5 else kids[1])
     ids = free_log._columns()[1]
     return free_log._select(~np.isin(ids, np.fromiter(deleted, dtype=np.int64, count=len(deleted))))
@@ -792,8 +835,10 @@ def dichotomy_experiment(
     one a separate simulation would give.  A truncated run leaves the
     others unchanged, and a heavy run is finished alone once the batch
     outgrows its row budget.  The report adds the batch's work counts:
-    ``events`` (candidates decided, branches plus rejections), ``rejected``
-    and ``rounds`` (array rounds stepped), truncated runs included.
+    ``events`` (candidates decided, branches plus rejections), ``rejected``,
+    ``rounds`` (array rounds stepped) and, in d = 1, ``table_builds`` (the
+    builds of the stacked blocking table the runs ask once per round),
+    truncated runs included.
     """
     if obs_times is None:
         obs_times = tuple(np.linspace(t_max / 3.0, t_max, 6))
@@ -871,4 +916,5 @@ def dichotomy_experiment(
         "events": stats["events"],
         "rejected": stats["rejected"],
         "rounds": stats["rounds"],
+        "table_builds": stats["table_builds"],
     }

@@ -27,6 +27,12 @@ rounding).  ``is_blocked_many`` answers a query from its bin and sends
 only the points of mixed bins, about 2 % of them, through the exact
 nearest-centre rule, so its answers equal ``nearest_distances(x) <= a``.
 
+A table may stack one row of bins per field over one shared box:
+:class:`StackedTable` answers the d = 1 candidates of a batch of runs on
+distinct fields, a whole round with one gather.  Its rows are realised in
+one vectorised hash pass, and its mixed points are resolved by one search
+across rows, so each answer equals the field's own rule.
+
 Cell realisation is idempotent, so concurrent readers may duplicate work
 but can never disagree; there is no mutation besides cache fills.
 """
@@ -53,6 +59,7 @@ from .seeds import (
 
 __all__ = [
     "ObstacleField",
+    "StackedTable",
     "Clearing",
     "largest_clearing",
     "load_points",
@@ -66,7 +73,8 @@ _MAX_POISSON_TERMS = 4096
 # d = 1 blocking table: bin width a / _BINS_PER_RADIUS, at most _MAX_BINS bins
 _BINS_PER_RADIUS = 16
 _MAX_BINS = 1 << 20
-_FREE, _BLOCKED, _MIXED = 0, 1, 2
+# bin states, ordered so that a bin takes the largest mark any centre gives it
+_FREE, _MIXED, _BLOCKED = 0, 1, 2
 
 
 def _poisson_cdf_table(lam: float) -> list:
@@ -236,28 +244,9 @@ class ObstacleField:
         ranges = [np.arange(lo_cell[q], hi_cell[q] + 1) for q in range(self.d)]
         grids = np.meshgrid(*ranges, indexing="ij")
         cells = np.stack([g.ravel() for g in grids], axis=1)
-        pts = self._bulk_points(cells)
+        pts, _ = _hashed_points(cell_key_array(self.master_seed, cells), cells, self._cdf, self.cell_size)
         mask = np.all((pts >= lo) & (pts < hi), axis=1)
         return pts[mask]
-
-    def _bulk_points(self, cells: np.ndarray) -> np.ndarray:
-        keys = cell_key_array(self.master_seed, cells)
-        u0 = u01_array(stream_u64_array(keys, np.zeros(len(keys), dtype=np.uint64)))
-        counts = np.searchsorted(self._cdf, u0, side="left")
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty((0, self.d))
-        rep_keys = np.repeat(keys, counts)
-        rep_cells = np.repeat(cells, counts, axis=0)
-        # per-point index j within its cell
-        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        j = np.arange(total, dtype=np.uint64) - np.repeat(offsets, counts).astype(np.uint64)
-        coords = np.empty((total, self.d))
-        for q in range(self.d):
-            counters = np.uint64(1) + j * np.uint64(self.d) + np.uint64(q)
-            uu = u01_array(stream_u64_array(rep_keys, counters))
-            coords[:, q] = (rep_cells[:, q] + uu) * self.cell_size
-        return coords
 
     # -- scalar queries ----------------------------------------------------
 
@@ -313,21 +302,12 @@ class ObstacleField:
     # -- bulk queries --------------------------------------------------------
 
     def _ensure_bulk_cache(self, lo: np.ndarray, hi: np.ndarray):
-        """Realised box covering [lo, hi), grown geometrically as needed.
-
-        A box that no longer covers the request is rebuilt; on each side
-        that must grow it extends by at least its own width.
-        """
+        """Realised box covering [lo, hi), grown geometrically as needed
+        (see :func:`_grown_box`)."""
         cache = self._bulk_cache
-        if cache is None:
-            pad = 4.0 * self.cell_size
-            new_lo, new_hi = lo - pad, hi + pad
-        elif np.all(cache.lo <= lo) and np.all(cache.hi >= hi):
+        if cache is not None and np.all(cache.lo <= lo) and np.all(cache.hi >= hi):
             return cache
-        else:
-            width = cache.hi - cache.lo
-            new_lo = np.where(lo < cache.lo, np.minimum(lo, cache.lo - width), cache.lo)
-            new_hi = np.where(hi > cache.hi, np.maximum(hi, cache.hi + width), cache.hi)
+        new_lo, new_hi = _grown_box(cache, lo, hi, 4.0 * self.cell_size)
         pts = self.realize_box(new_lo, new_hi)
         self.bulk_rebuilds += 1
         if self.d == 1:
@@ -339,9 +319,14 @@ class ObstacleField:
         self._bulk_cache = cache
         return cache
 
+    @property
+    def _margin(self) -> float:
+        """Distance a bulk box keeps beyond every query point: at least a."""
+        return max(self.a, self.cell_size) + self.cell_size
+
     def _query_box(self, lo, hi):
         """Bulk cache covering every query point in [lo, hi] with margin >= a."""
-        margin = max(self.a, self.cell_size) + self.cell_size
+        margin = self._margin
         return self._ensure_bulk_cache(lo - margin, hi + margin)
 
     def nearest_distances(self, xs: np.ndarray) -> np.ndarray:
@@ -360,7 +345,7 @@ class ObstacleField:
             return np.zeros(0)
         cache = self._query_box(xs.min(axis=0), xs.max(axis=0))
         if self.d == 1:
-            return _line_distances(cache.line, xs[:, 0])
+            return cache.distances(xs[:, 0])
         if cache.tree is None:
             return np.full(len(xs), np.inf)
         dist, _ = cache.tree.query(xs)
@@ -377,13 +362,117 @@ class ObstacleField:
         q = np.asarray(xs, dtype=float).reshape(-1)
         if q.size == 0:
             return np.zeros(0, dtype=bool)
-        cache = self._query_box(q.min(keepdims=True), q.max(keepdims=True))
-        state = cache.state[((q - cache.lo[0]) * cache.inv_h).astype(np.intp)]
-        blocked = state == _BLOCKED
-        mixed = np.flatnonzero(state == _MIXED)
-        if mixed.size:
-            blocked[mixed] = _line_distances(cache.line, q[mixed]) <= self.a
-        return blocked
+        lo, hi, cache, margin = q.min(), q.max(), self._bulk_cache, self._margin
+        if cache is None or lo - margin < cache.x0 or hi + margin > cache.x1:
+            cache = self._query_box(np.atleast_1d(lo), np.atleast_1d(hi))
+        return cache.blocked(q)
+
+
+class StackedTable:
+    """Blocking queries against several d = 1 fields, answered from one table.
+
+    Row i of the table holds the bins of ``fields[i]`` over one box shared
+    by every row, so the candidates of a round on distinct fields are
+    answered with one gather.  The box keeps every query farther than each
+    field's ``max(a, cell_size) + cell_size`` from its edge, and grows as a
+    field's own bulk box does (:func:`_grown_box`); ``builds`` counts the
+    tables built.  Each answer equals the field's own
+    ``is_blocked_many`` answer, the exact rule ``|x - c| <= a``.
+    """
+
+    def __init__(self, fields):
+        self.fields = list(fields)
+        if not self.fields or any(f.d != 1 for f in self.fields):
+            raise ValueError("a stacked table needs one or more d = 1 fields")
+        self.radii = np.asarray([f.a for f in self.fields])
+        self.margin = max(f._margin for f in self.fields)
+        self.pad = 4.0 * max(f.cell_size for f in self.fields)
+        self.table = None
+        self.builds = 0
+
+    def is_blocked(self, xs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``fields[rows[i]].is_blocked(xs[i])`` for every i, as one bool array."""
+        if len(xs) == 0:
+            return np.zeros(0, dtype=bool)
+        lo, hi, table = xs.min() - self.margin, xs.max() + self.margin, self.table
+        if table is None or lo < table.x0 or hi > table.x1:
+            box_lo, box_hi = _grown_box(table, np.atleast_1d(lo), np.atleast_1d(hi), self.pad)
+            line, counts = _stacked_lines(self.fields, float(box_lo[0]), float(box_hi[0]))
+            self.table = table = _line_cache(box_lo, box_hi, line, self.radii, counts)
+            self.builds += 1
+        return table.blocked(xs, rows)
+
+
+def _grown_box(cache, lo: np.ndarray, hi: np.ndarray, pad: float):
+    """Bounds of a box to realise so that it covers [lo, hi).
+
+    The first box (``cache`` None) is [lo, hi) padded by ``pad``.  A box
+    that no longer covers the request extends each side that must grow by
+    at least its own width, so a region of width W costs O(log W) boxes.
+    """
+    if cache is None:
+        return lo - pad, hi + pad
+    width = cache.hi - cache.lo
+    new_lo = np.where(lo < cache.lo, np.minimum(lo, cache.lo - width), cache.lo)
+    new_hi = np.where(hi > cache.hi, np.maximum(hi, cache.hi + width), cache.hi)
+    return new_lo, new_hi
+
+
+def _hashed_points(keys: np.ndarray, cells: np.ndarray, cdf, cell_size: float):
+    """Points of the lattice cells ``cells`` (n, d), whose hash keys are
+    ``keys``, as a (total, d) array, with the index of each point's cell."""
+    u0 = u01_array(stream_u64_array(keys, np.zeros(len(keys), dtype=np.uint64)))
+    counts = np.searchsorted(cdf, u0, side="left")
+    total = int(counts.sum())
+    d = cells.shape[1]
+    if total == 0:
+        return np.empty((0, d)), np.zeros(0, dtype=np.intp)
+    owner = np.repeat(np.arange(len(keys)), counts)
+    rep_keys = keys[owner]
+    # per-point index j within its cell
+    offsets = np.cumsum(counts) - counts
+    j = (np.arange(total) - offsets[owner]).astype(np.uint64)
+    coords = np.empty((total, d))
+    for q in range(d):
+        counters = np.uint64(1) + j * np.uint64(d) + np.uint64(q)
+        uu = u01_array(stream_u64_array(rep_keys, counters))
+        coords[:, q] = (cells[owner, q] + uu) * cell_size
+    return coords, owner
+
+
+def _stacked_lines(fields, x0: float, x1: float):
+    """Centres in [x0, x1) of each d = 1 field, sorted field by field, and
+    the count of each field.
+
+    Poisson fields that share ``nu`` and ``cell_size`` are realised in one
+    vectorised hash pass over the same cells, each cell keyed by its own
+    field's seed, so every field's centres are those of its own
+    ``realize_box``.
+    """
+    lines, rows = [], []
+    lazy = {}
+    for i, f in enumerate(fields):
+        if f._finite:
+            pts = f.realize_box([x0], [x1])[:, 0]
+            lines.append(pts)
+            rows.append(np.full(len(pts), i))
+        else:
+            lazy.setdefault((f.nu, f.cell_size), []).append(i)
+    for (_, cs), group in lazy.items():
+        # the cells realize_box spans
+        span = np.arange(math.floor(x0 / cs), math.floor((x1 - 1e-12) / cs) + 1)
+        row = np.repeat(np.asarray(group), len(span))
+        cells = np.tile(span, len(group))[:, None]
+        seeds = np.asarray([fields[i].master_seed for i in group], dtype=np.uint64)
+        pts, owner = _hashed_points(
+            cell_key_array(np.repeat(seeds, len(span)), cells), cells, fields[group[0]]._cdf, cs
+        )
+        inside = (pts[:, 0] >= x0) & (pts[:, 0] < x1)
+        lines.append(pts[inside, 0])
+        rows.append(row[owner[inside]])
+    line, row = np.concatenate(lines), np.concatenate(rows)
+    order = np.lexsort((line, row))
+    return line[order], np.bincount(row, minlength=len(fields))
 
 
 class _TreeCache(NamedTuple):
@@ -392,26 +481,66 @@ class _TreeCache(NamedTuple):
     tree: object  # scipy cKDTree, None for an empty box
 
 
-class _LineCache(NamedTuple):
-    lo: np.ndarray
-    hi: np.ndarray
-    line: np.ndarray  # sorted centres in [lo, hi)
-    inv_h: float  # 1 / bin width
-    state: np.ndarray  # uint8 bin states _FREE, _BLOCKED, _MIXED
+class _LineCache:
+    """d = 1 blocking table over [lo, hi), one row of bins per field.
+
+    ``line`` holds every row's sorted centres, row after row; row r's
+    are ``line[starts[r]:starts[r + 1]]``, and ``state[r * n + j]`` is the
+    state of its bin j.  Across rows the centres are searched by the keys
+    ``c + r * span``: ``span`` is twice the box width, so the rows' key
+    ranges do not overlap.
+    """
+
+    __slots__ = ("lo", "hi", "x0", "x1", "line", "starts", "keys", "span", "a", "inv_h", "n", "state")
+
+    def blocked(self, q: np.ndarray, row=None) -> np.ndarray:
+        """Whether each q[i] lies within a of a centre of row ``row[i]``
+        (row 0 for every point when ``row`` is None)."""
+        b = ((q - self.x0) * self.inv_h).astype(np.intp)
+        if row is not None:
+            b += row * self.n
+        state = self.state[b]
+        blocked = state == _BLOCKED
+        mixed = np.flatnonzero(state == _MIXED)
+        if mixed.size:
+            r = None if row is None else row[mixed]
+            blocked[mixed] = self.distances(q[mixed], r) <= self.a[0 if r is None else r]
+        return blocked
+
+    def distances(self, q: np.ndarray, row=None) -> np.ndarray:
+        """Distance from each q[i] to the nearest centre of row ``row[i]``."""
+        if row is None:
+            return _line_distances(self.line, q)
+        return _line_distances(self.line, q, q + row * self.span, self.keys, self.starts[row], self.starts[row + 1])
 
 
-def _line_distances(line: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Distance from each q to the nearest entry of the sorted array ``line``."""
+def _line_distances(line, q, key=None, keys=None, first=0, end=None) -> np.ndarray:
+    """Distance from each q to the nearest entry of the sorted array ``line``.
+
+    With ``keys``, q[i] is placed among ``keys`` (the increasing search
+    keys of ``line``) by ``key[i]``, and only the entries in
+    [first[i], end[i]) count.  Keys are rounded and may tie, but rounding
+    keeps their order: an entry placed on the wrong side of q has q's key,
+    so it lies within rounding of q and is taken as q's right neighbour.
+    The distance is then at most that rounding instead of exact, which
+    decides a blocking query the same way.
+    """
     if len(line) == 0:
         return np.full(len(q), np.inf)
-    idx = np.searchsorted(line, q)
-    left = np.where(idx > 0, np.abs(q - line[np.maximum(idx - 1, 0)]), np.inf)
-    right = np.where(idx < len(line), np.abs(line[np.minimum(idx, len(line) - 1)] - q), np.inf)
+    idx = np.searchsorted(line if keys is None else keys, q if key is None else key)
+    end = len(line) if end is None else end
+    left = np.where(idx > first, np.abs(q - line[np.maximum(idx - 1, 0)]), np.inf)
+    right = np.where(idx < end, np.abs(line[np.minimum(idx, len(line) - 1)] - q), np.inf)
     return np.minimum(left, right)
 
 
-def _line_cache(lo: np.ndarray, hi: np.ndarray, line: np.ndarray, a: float) -> _LineCache:
+def _line_cache(lo: np.ndarray, hi: np.ndarray, line: np.ndarray, a, counts=None) -> _LineCache:
     """d = 1 bulk cache over [lo, hi) with its blocking table.
+
+    ``line`` holds the sorted centres in the box; with ``counts`` it holds
+    ``len(counts)`` rows, row r holding ``counts[r]`` centres with blocking
+    radius ``a[r]``.  All rows share one bin width h, at most a/16 for the
+    smallest radius (wider when the table would hold more than 2^20 bins).
 
     Every point x of bin j lies within h/2 of the bin's midpoint m_j, so
     the bin is free if m_j is farther than a + h/2 from every centre and
@@ -419,19 +548,49 @@ def _line_cache(lo: np.ndarray, hi: np.ndarray, line: np.ndarray, a: float) -> _
     h/2 a margin far above the rounding of the bin lookup and of the
     distances, so a table answer never differs from the exact rule.  Bins
     whose reach crosses the box edge may see centres outside the box, so
-    they are mixed.
+    they are mixed.  Each centre marks only the bins within its reach
+    a + slack (widened by a bin on each side for the rounding of the bin
+    range), a bin keeping its nearest centre's mark, so the build holds a
+    byte per bin and a few dozen (bin, centre) pairs per centre.
     """
     x0, x1 = float(lo[0]), float(hi[0])
-    h = max(a / _BINS_PER_RADIUS, (x1 - x0) / _MAX_BINS)
+    counts = np.asarray([len(line)] if counts is None else counts)
+    rows = len(counts)
+    a_row = np.broadcast_to(np.asarray(a, dtype=float), (rows,))
+    cache = _LineCache()
+    cache.lo, cache.hi, cache.x0, cache.x1, cache.line, cache.a = lo, hi, x0, x1, line, a_row
+    cache.starts = np.concatenate(([0], np.cumsum(counts)))
+    cache.span = 2.0 * (x1 - x0)
+    cache.keys = None
+    row = np.repeat(np.arange(rows), counts)
+    if rows > 1:
+        # two keys that round to one value differ by at most 2^-51 times
+        # the largest key, which must stay far below every radius (see
+        # _line_distances)
+        if 2.0**-46 * (max(abs(x0), abs(x1)) + rows * cache.span) > a_row.min():
+            raise ValueError("box too wide for a stacked table at these radii")
+        cache.keys = line + row * cache.span
+    h = max(a_row.min() / _BINS_PER_RADIUS, rows * (x1 - x0) / _MAX_BINS)
     n = int((x1 - x0) / h) + 2
-    mid = x0 + (np.arange(n) + 0.5) * h
-    dist = _line_distances(line, mid)
-    slack = 0.5 * h * (1.0 + 1e-6) + 1e-12 * (abs(x0) + abs(x1) + a)
-    state = np.full(n, _MIXED, dtype=np.uint8)
-    state[dist > a + slack] = _FREE
-    state[dist <= a - slack] = _BLOCKED
-    state[(mid - x0 < a + 2.0 * slack) | (x1 - mid < a + 2.0 * slack)] = _MIXED
-    return _LineCache(lo, hi, line, 1.0 / h, state)
+    slack = 0.5 * h * (1.0 + 1e-6) + 1e-12 * (abs(x0) + abs(x1) + a_row)
+    # (bin, centre) pairs: the bins j whose midpoints x0 + (j + 0.5) h may
+    # lie within a + slack of the centre
+    reach = (a_row + slack)[row]
+    first = np.maximum(np.floor((line - reach - x0) / h - 0.5).astype(np.intp) - 1, 0)
+    size = np.maximum(np.minimum(np.floor((line + reach - x0) / h - 0.5).astype(np.intp) + 2, n) - first, 0)
+    j = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size - first, size)
+    gap = np.abs(x0 + (j + 0.5) * h - np.repeat(line, size))
+    mark = (gap <= np.repeat(reach, size)).view(np.uint8) + (gap <= np.repeat((a_row - slack)[row], size))
+    state = np.zeros(rows * n, dtype=np.uint8)
+    np.maximum.at(state, np.repeat(row * n, size) + j, mark)
+    state = state.reshape(rows, n)
+    # the bins within a + 2 slack of either edge
+    k = min(n, int(float((a_row + 2.0 * slack).max()) / h) + 3)
+    near = a_row[:, None] + 2.0 * slack[:, None]
+    state[:, :k][x0 + (np.arange(k) + 0.5) * h - x0 < near] = _MIXED
+    state[:, n - k :][x1 - (x0 + (np.arange(n - k, n) + 0.5) * h) < near] = _MIXED
+    cache.inv_h, cache.n, cache.state = 1.0 / h, n, state.reshape(-1)
+    return cache
 
 
 def _chebyshev_shell(c0: tuple, m: int):

@@ -78,13 +78,19 @@ def stream_u64_array(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     return _finalize_array(keys + (counters + np.uint64(1)) * np.uint64(_GOLDEN))
 
 
-def cell_key_array(seed: int, cells: np.ndarray) -> np.ndarray:
-    """Vectorised ``cell_key`` for an (n, d) integer array of cells."""
+def cell_key_array(seed, cells: np.ndarray) -> np.ndarray:
+    """Vectorised ``cell_key`` for an (n, d) integer array of cells.
+
+    ``seed`` is one seed for every cell, or an array of n seeds, one per
+    cell, so that the cells of several fields are keyed in one pass.
+    """
     cells = np.asarray(cells)
     if cells.ndim == 1:
         cells = cells[:, None]
-    base = _finalize((seed ^ 0x5851F42D4C957F2D) & _MASK64)
-    k = np.full(cells.shape[0], base, dtype=np.uint64)
+    if np.ndim(seed):
+        k = _finalize_array(np.asarray(seed, dtype=np.uint64) ^ np.uint64(0x5851F42D4C957F2D))
+    else:
+        k = np.full(cells.shape[0], _finalize((seed ^ 0x5851F42D4C957F2D) & _MASK64), dtype=np.uint64)
     for q in range(cells.shape[1]):
         c = cells[:, q].astype(np.int64).view(np.uint64)
         k = _finalize_array(k ^ (c * np.uint64(_GOLDEN)))

@@ -22,16 +22,22 @@ from mildbbm.branching import (
     run_free_bbm,
     trim_coupling,
 )
-from mildbbm.environment import ObstacleField
+from mildbbm.environment import ObstacleField, StackedTable
 from mildbbm.first_moment import expected_mass_1d
 from mildbbm.seeds import derive_seed
 
 
 class BlockEverywhere:
-    """Stand-in for an infinite-radius obstacle: every candidate rejected."""
+    """Stand-in for an infinite-radius obstacle: every candidate rejected.
+
+    d = 1 runs ask the bulk query, d >= 2 runs the scalar one.
+    """
 
     def is_blocked(self, x):
         return True
+
+    def is_blocked_many(self, xs):
+        return np.ones(len(xs), dtype=bool)
 
 
 def free_config(beta=1.0, t_max=2.0, obs=None, seed=0, d=1, drift=0.0, cap=1_000_000, balls=()):
@@ -300,24 +306,67 @@ class TestBatch:
         assert np.all(np.abs(np.asarray(rep["mean_local_counts"]) - oracle) <= allowed)
 
     def test_each_run_queries_only_its_own_field(self):
-        # one query per candidate that is not pruned, asked of its own run's field
-        fields = [CountingField(ObstacleField(1, 0.5, 0.3, derive_seed(19, "env", i))) for i in range(12)]
-        asked = [[] for _ in fields]
-        for i, f in enumerate(fields):
-            f.field.is_blocked = lambda x, i=i, g=f.field.is_blocked: asked[i].append(tuple(x)) or g(x)
+        # every candidate that is not pruned is decided by its own run's field:
+        # branch records are free and rejected records blocked under it
+        fields = [ObstacleField(1, 0.5, 0.3, derive_seed(19, "env", i)) for i in range(12)]
         config = batch_config(beta=0.8, times=(2.0, 4.0, 6.0), drift=1.0)
         seeds = [derive_seed(19, "run", i) for i in range(len(fields))]
         _, log, stats = branching.run_batch(config, fields, seeds, keep_log=True, focus=((0.0,), 1.0), prune_tol=1e-6)
         assert stats["pruned"].sum() > 0
-        candidates = [[] for _ in fields]
+        decided = [[0, 0] for _ in fields]
         for r, run in zip(log, run_of_records(log, len(fields))):
             if r.kind in ("branch", "candidate-rejected"):
-                candidates[run].append(r.position)
-        for i, f in enumerate(fields):
-            assert f.calls == len(asked[i]) == len(candidates[i]) > 0
-            assert sorted(asked[i]) == sorted(candidates[i])
-        assert sum(f.calls for f in fields) == stats["events"]
-        assert sum(r.kind == "candidate-rejected" for r in log) == stats["rejected"]
+                blocked = fields[run].is_blocked(r.position)
+                assert blocked == (r.kind == "candidate-rejected")
+                decided[run][blocked] += 1
+        assert all(free > 0 and hit > 0 for free, hit in decided)
+        assert sum(map(sum, decided)) == stats["events"]
+        assert sum(hit for _, hit in decided) == stats["rejected"]
+
+    def test_d1_batches_never_ask_the_scalar_query(self, monkeypatch):
+        def refuse(self, x):
+            raise AssertionError("scalar is_blocked asked in d = 1")
+
+        fields = [ObstacleField(1, 0.5, 0.3, derive_seed(26, "env", i)) for i in range(4)]
+        config = batch_config()
+        seeds = [derive_seed(26, "run", i) for i in range(4)]
+        expected = [branching.run_batch(config, [f], [s])[0][0] for f, s in zip(fields, seeds)]
+        monkeypatch.setattr(ObstacleField, "is_blocked", refuse)
+        distinct, _, stats = branching.run_batch(config, fields, seeds)
+        shared, _, shared_stats = branching.run_batch(config, [fields[0]] * 4, seeds)
+        assert stats["events"] > stats["rejected"] > 0 and shared_stats["rejected"] > 0
+        for a, b in zip(distinct, expected):
+            assert_same_curve(a, b)
+        rep = dichotomy_experiment(1.0, 0.8, 0.5, 0.3, 4.0, 6, seed=26)
+        assert rep["events"] > rep["rejected"] > 0
+        _, log = run_free_bbm(free_config(t_max=3.0, obs=(1.5, 3.0), seed=26))
+        trim_coupling(log, fields[0], seed=26)
+
+    def test_table_lookups_run_in_row_blocks(self, monkeypatch):
+        # with tiny blocks every table lookup holds at most _CHUNK candidates,
+        # and the runs do not change
+        fields = [ObstacleField(1, 0.5, 0.3, derive_seed(27, "env", i)) for i in range(8)]
+        config = batch_config(beta=0.8, times=(2.0, 4.0), drift=1.0)
+        seeds = [derive_seed(27, "run", i) for i in range(8)]
+        wide = [branching.run_batch(config, f, seeds)[0] for f in (fields, [fields[0]] * 8)]
+        sizes = []
+        ask, many = StackedTable.is_blocked, ObstacleField.is_blocked_many
+        monkeypatch.setattr(StackedTable, "is_blocked", lambda self, xs, rows: sizes.append(len(xs)) or ask(self, xs, rows))
+        monkeypatch.setattr(ObstacleField, "is_blocked_many", lambda self, xs: sizes.append(len(xs)) or many(self, xs))
+        monkeypatch.setattr(branching, "_CHUNK", 5)
+        narrow = [branching.run_batch(config, f, seeds)[0] for f in (fields, [fields[0]] * 8)]
+        assert max(sizes) == 5 and len(sizes) > 20
+        for a, b in zip(sum(wide, []), sum(narrow, [])):
+            assert_same_curve(a, b)
+
+    def test_table_builds_counted_for_distinct_fields_only(self):
+        fields = [ObstacleField(1, 0.5, 0.3, derive_seed(28, "env", i)) for i in range(5)]
+        config = batch_config(times=(2.0, 6.0), drift=1.0)
+        seeds = [derive_seed(28, "run", i) for i in range(5)]
+        builds = [branching.run_batch(config, f, seeds)[2]["table_builds"] for f in (fields, fields[:1] * 5)]
+        assert builds[0] >= 2 and builds[1] == 0
+        a, b = (dichotomy_experiment(1.0, 0.8, 0.5, 0.3, 6.0, 5, seed=28) for _ in range(2))
+        assert a["table_builds"] == b["table_builds"] >= 1
 
     def test_truncating_a_run_leaves_the_others_unchanged(self):
         config = batch_config(times=(1.0, 2.0, 3.0))

@@ -10,6 +10,7 @@ from scipy import stats as st
 from mildbbm.environment import (
     Clearing,
     ObstacleField,
+    StackedTable,
     largest_clearing,
     load_points,
     save_points,
@@ -244,6 +245,75 @@ class TestBlockingTable:
             f.is_blocked_many(np.array([[r, -r], [-r, r]]))
         # the box must reach about +-200 from about +-6: at most log2(400 / 12) + 1 builds
         assert f.bulk_rebuilds <= 1 + math.log2(412.0 / 12.0)
+
+
+def mixed_fields():
+    """d = 1 fields that differ in nu, a and cell_size, plus a finite and an empty one."""
+    return [
+        ObstacleField(1, 0.5, 0.3, 41, 1.0),
+        ObstacleField(1, 2.0, 0.1, 42, 0.7),
+        ObstacleField.from_points([[-1.0], [0.5], [3.25], [3.3]], a=0.4),
+        ObstacleField.from_points([], a=0.2, d=1),
+        ObstacleField(1, 0.5, 0.3, 43, 1.0),
+        ObstacleField(1, 1.0, 1.3, 44, 2.0),
+    ]
+
+
+def scalar_answers(fields, xs, rows):
+    return np.array([fields[r].is_blocked((x,)) for r, x in zip(rows.tolist(), xs.tolist())])
+
+
+class TestStackedTable:
+    def test_equals_the_scalar_rule_at_ball_edges(self):
+        fields = mixed_fields()
+        table = StackedTable(fields)
+        xs, rows = [], []
+        for r, f in enumerate(fields):
+            centres = f.realize_box([-15.0], [15.0])[:, 0]
+            q = np.concatenate([boundary_queries(centres, f.a), np.linspace(-12.0, 12.0, 997)])
+            xs.append(q)
+            rows.append(np.full(len(q), r))
+        xs, rows = np.concatenate(xs), np.concatenate(rows)
+        # one call with every row interleaved, and each row alone
+        order = np.random.default_rng(5).permutation(len(xs))
+        got = table.is_blocked(xs[order], rows[order])
+        assert np.array_equal(got, scalar_answers(fields, xs[order], rows[order]))
+        for r in range(len(fields)):
+            mine = rows == r
+            assert np.array_equal(table.is_blocked(xs[mine], rows[mine]), got[np.argsort(order)][mine])
+        assert got.any() and not got.all()
+
+    def test_answers_stay_correct_after_growth_forced_by_one_far_run(self):
+        fields = mixed_fields()
+        table = StackedTable(fields)
+        rng = np.random.default_rng(6)
+        rows = np.arange(4000) % len(fields)
+        near = rng.normal(0.0, 2.0, 4000)
+        first = table.is_blocked(near, rows)
+        assert table.builds == 1
+        # one point of row 0 far out: the shared box must grow for every row
+        far = near.copy()
+        far[0] = 250.0
+        grown = table.is_blocked(far, rows)
+        assert table.builds == 2 and table.table.x1 > 250.0
+        assert np.array_equal(grown[1:], first[1:])
+        assert np.array_equal(grown, scalar_answers(fields, far, rows))
+        spread = rng.uniform(-300.0, 300.0, 4000)
+        assert np.array_equal(table.is_blocked(spread, rows), scalar_answers(fields, spread, rows))
+        assert table.builds == 3
+
+    def test_one_row_equals_the_fields_own_table(self):
+        f = ObstacleField(1, 1.0, 0.3, 45, 1.0)
+        xs = np.random.default_rng(7).uniform(-30.0, 30.0, 20_000)
+        got = StackedTable([f]).is_blocked(xs, np.zeros(len(xs), dtype=np.intp))
+        assert np.array_equal(got, f.is_blocked_many(xs))
+
+    def test_rejects_radii_below_the_key_rounding(self):
+        tiny = [ObstacleField.from_points([], a=1e-14, d=1) for _ in range(2)]
+        with pytest.raises(ValueError):
+            StackedTable(tiny).is_blocked(np.array([0.0, 1e3]), np.array([0, 1]))
+        with pytest.raises(ValueError):
+            StackedTable([ObstacleField(2, 0.5, 0.3, 1)])
 
 
 class TestNearestDistance:
