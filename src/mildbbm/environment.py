@@ -9,15 +9,20 @@ identical points no matter when, where or in what order it is queried, and
 particles may wander arbitrarily far without a pre-declared bounding box.
 
 Scalar queries (``is_blocked``, ``nearest_obstacle_distance``) realise only
-the cells they touch and cache each cell's points as tuples of Python
-floats, so a blocking query on realised cells runs without numpy.  Bulk
-queries (``is_blocked_many``, ``largest_clearing``) realise whole boxes
-through the vectorised twin of the same hash, so both paths see the same
-points; a sorted-array index (d = 1) or a k-d tree (d >= 2) serves the
-batched nearest-neighbour lookups.  The box a field keeps for bulk queries
-is rebuilt only when a query leaves it, and then each side that must grow
-at least doubles the box's width, so a cloud of paths spreading over a
-region of width W costs O(log W) rebuilds (counted in ``bulk_rebuilds``).
+the cells near their query point and cache each cell's points as tuples of
+Python floats.  ``is_blocked`` keys a per-field cache of reach lists by the
+query's home cell: the list holds every centre that could lie within ``a``
+of some point of that cell, built on the cell's first query from the cells
+of its neighbourhood (which that query realises).  A warm query is then
+one dict lookup and an exact distance test on one or two centres, with no
+numpy.  Bulk queries (``is_blocked_many``, ``largest_clearing``) realise
+whole boxes through the vectorised twin of the same hash, so both paths
+see the same points; a sorted-array index (d = 1) or a k-d tree (d >= 2)
+serves the batched nearest-neighbour lookups.  The box a field keeps for
+bulk queries costs a query one comparison of its bounds while it covers
+them, and is rebuilt only when a query leaves it; then each side that must
+grow at least doubles the box's width, so a cloud of paths spreading over
+a region of width W costs O(log W) rebuilds (counted in ``bulk_rebuilds``).
 
 In d = 1 the box also carries a table of bins of width a/16 (wider on
 boxes of more than 2^20 such bins).  A bin is free when its midpoint lies
@@ -43,6 +48,7 @@ import bisect
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -75,6 +81,8 @@ _BINS_PER_RADIUS = 16
 _MAX_BINS = 1 << 20
 # bin states, ordered so that a bin takes the largest mark any centre gives it
 _FREE, _MIXED, _BLOCKED = 0, 1, 2
+# below this many points a Python min/max beats two numpy reductions
+_FEW_POINTS = 32
 
 
 def _poisson_cdf_table(lam: float) -> list:
@@ -143,8 +151,7 @@ class ObstacleField:
         self._finite = False
         self._cells: dict[tuple, tuple] = {}
         self._cdf = _poisson_cdf_table(self.nu * self.cell_size**self.d)
-        self._bulk_cache = None  # _LineCache (d == 1) or _TreeCache (d >= 2)
-        self.bulk_rebuilds = 0
+        self._init_caches()
 
     # -- construction -----------------------------------------------------
 
@@ -174,14 +181,21 @@ class ObstacleField:
         obj.cell_size = float(cell_size) if cell_size else max(obj.a, 1.0)
         obj._finite = True
         obj._cdf = None
-        obj._bulk_cache = None
-        obj.bulk_rebuilds = 0
+        obj._init_caches()
         cells: dict[tuple, list] = {}
         for row in pts.tolist():
             c = tuple(math.floor(x / obj.cell_size) for x in row)
             cells.setdefault(c, []).append(tuple(row))
         obj._cells = {c: tuple(v) for c, v in cells.items()}
         return obj
+
+    def _init_caches(self):
+        self._reach: dict[tuple, tuple] = {}  # home cell -> reach list, see is_blocked
+        # distance a bulk box keeps beyond every query point: at least a
+        self._margin = max(self.a, self.cell_size) + self.cell_size
+        self._bulk_cache = None  # _LineCache (d == 1) or _TreeCache (d >= 2)
+        self._served = None  # (lo, hi) float lists: the query box the bulk cache covers
+        self.bulk_rebuilds = 0
 
     @property
     def realized_cells(self) -> dict:
@@ -253,23 +267,49 @@ class ObstacleField:
     def is_blocked(self, x) -> bool:
         """True iff x lies within distance a (inclusive) of an obstacle centre.
 
-        Plain float arithmetic: the cells within reach are found with
-        ``math.floor`` and their cached point tuples compared with
-        ``math.dist``, so a query on realised cells allocates no array.
+        One dict lookup: x's home cell ``floor(x / cell_size)`` keys its
+        reach list (:meth:`_reach_list`, built on the cell's first query),
+        whose one or two centres are compared with ``math.dist``, so a query
+        on a known home cell allocates no array.
         """
         try:
             x = tuple(x)
         except TypeError:
             x = (float(x),)
-        a, cs, cells, floor, dist = self.a, self.cell_size, self._cells, math.floor, math.dist
-        for cell in itertools.product(*[range(floor((v - a) / cs), floor((v + a) / cs) + 1) for v in x]):
-            pts = cells.get(cell)
-            if pts is None:
-                pts = self._cell(cell)
-            for p in pts:
-                if dist(p, x) <= a:
-                    return True
+        cs = self.cell_size
+        home = tuple([math.floor(v / cs) for v in x])
+        near = self._reach.get(home)
+        if near is None:
+            near = self._reach_list(home)
+        a = self.a
+        for p in near:
+            if math.dist(p, x) <= a:
+                return True
         return False
+
+    def _reach_list(self, home: tuple) -> tuple:
+        """Every centre that may lie within a of a point whose home cell is ``home``.
+
+        The cells within r of ``home`` (Chebyshev), with r * cell_size >
+        a + slack, are realised, and their centres are kept when they lie
+        in the home cell's box widened by a + slack.  ``slack`` covers the
+        rounding of ``floor(x / cell_size)``, which may place x an ulp or
+        so outside its home box, and of the box bounds.  At the usual sizes
+        (a and cell_size near 1) a list holds one or two centres.
+        """
+        a, cs = self.a, self.cell_size
+        slack = 1e-9 * (a + cs * (1 + max(abs(c) for c in home)))
+        r = math.floor((a + slack) / cs) + 1
+        lo = [c * cs - a - slack for c in home]
+        hi = [(c + 1) * cs + a + slack for c in home]
+        near = tuple(
+            p
+            for cell in itertools.product(*[range(c - r, c + r + 1) for c in home])
+            for p in self._cell(cell)
+            if all(l <= v <= h for l, v, h in zip(lo, p, hi))
+        )
+        self._reach[home] = near
+        return near
 
     def nearest_obstacle_distance(self, x, search_cap: float) -> float:
         """Distance from x to the nearest obstacle centre, if <= search_cap.
@@ -301,13 +341,19 @@ class ObstacleField:
 
     # -- bulk queries --------------------------------------------------------
 
-    def _ensure_bulk_cache(self, lo: np.ndarray, hi: np.ndarray):
-        """Realised box covering [lo, hi), grown geometrically as needed
-        (see :func:`_grown_box`)."""
-        cache = self._bulk_cache
-        if cache is not None and np.all(cache.lo <= lo) and np.all(cache.hi >= hi):
-            return cache
-        new_lo, new_hi = _grown_box(cache, lo, hi, 4.0 * self.cell_size)
+    def _query_box(self, lo: list, hi: list):
+        """Bulk cache covering every query point in [lo, hi] (float lists, one
+        entry per coordinate) with margin >= a.
+
+        A query inside the box the cache serves costs one comparison per
+        coordinate and side; only a miss realises a new box, grown
+        geometrically (see :func:`_grown_box`).
+        """
+        served = self._served
+        if served is not None and all(map(operator.ge, lo, served[0])) and all(map(operator.le, hi, served[1])):
+            return self._bulk_cache
+        m = self._margin
+        new_lo, new_hi = _grown_box(self._bulk_cache, np.asarray(lo) - m, np.asarray(hi) + m, 4.0 * self.cell_size)
         pts = self.realize_box(new_lo, new_hi)
         self.bulk_rebuilds += 1
         if self.d == 1:
@@ -317,17 +363,8 @@ class ObstacleField:
 
             cache = _TreeCache(new_lo, new_hi, cKDTree(pts) if len(pts) else None)
         self._bulk_cache = cache
+        self._served = ((new_lo + m).tolist(), (new_hi - m).tolist())
         return cache
-
-    @property
-    def _margin(self) -> float:
-        """Distance a bulk box keeps beyond every query point: at least a."""
-        return max(self.a, self.cell_size) + self.cell_size
-
-    def _query_box(self, lo, hi):
-        """Bulk cache covering every query point in [lo, hi] with margin >= a."""
-        margin = self._margin
-        return self._ensure_bulk_cache(lo - margin, hi + margin)
 
     def nearest_distances(self, xs: np.ndarray) -> np.ndarray:
         """Nearest-centre distances for a batch of query points.
@@ -343,7 +380,7 @@ class ObstacleField:
             xs = xs[:, None]
         if len(xs) == 0:
             return np.zeros(0)
-        cache = self._query_box(xs.min(axis=0), xs.max(axis=0))
+        cache = self._query_box(xs.min(axis=0).tolist(), xs.max(axis=0).tolist())
         if self.d == 1:
             return cache.distances(xs[:, 0])
         if cache.tree is None:
@@ -362,10 +399,12 @@ class ObstacleField:
         q = np.asarray(xs, dtype=float).reshape(-1)
         if q.size == 0:
             return np.zeros(0, dtype=bool)
-        lo, hi, cache, margin = q.min(), q.max(), self._bulk_cache, self._margin
-        if cache is None or lo - margin < cache.x0 or hi + margin > cache.x1:
-            cache = self._query_box(np.atleast_1d(lo), np.atleast_1d(hi))
-        return cache.blocked(q)
+        if q.size <= _FEW_POINTS:
+            few = q.tolist()
+            lo, hi = min(few), max(few)
+        else:
+            lo, hi = q.min(), q.max()
+        return self._query_box([lo], [hi]).blocked(q)
 
 
 class StackedTable:
@@ -501,7 +540,7 @@ class _LineCache:
             b += row * self.n
         state = self.state[b]
         blocked = state == _BLOCKED
-        mixed = np.flatnonzero(state == _MIXED)
+        mixed = (state == _MIXED).nonzero()[0]
         if mixed.size:
             r = None if row is None else row[mixed]
             blocked[mixed] = self.distances(q[mixed], r) <= self.a[0 if r is None else r]

@@ -1,5 +1,6 @@
 """Obstacle field: reproducibility, Poisson statistics, query consistency."""
 
+import itertools
 import math
 import random
 
@@ -38,6 +39,15 @@ class TestCreation:
             ObstacleField(1, 5000.0, 0.2, 1, 10.0)
 
 
+def neighbourhoods(queries, cs, r):
+    """Every cell within Chebyshev distance r of a query's home cell."""
+    cells = set()
+    for x in queries:
+        home = [math.floor(v / cs) for v in x]
+        cells.update(itertools.product(*[range(c - r, c + r + 1) for c in home]))
+    return cells
+
+
 class TestDeterminism:
     def test_same_cell_twice_identical(self):
         f = ObstacleField(1, 1.0, 0.25, 7, 1.0)
@@ -56,6 +66,8 @@ class TestDeterminism:
         rng.shuffle(shuffled)
         ans_b = {q: fb.is_blocked(q) for q in shuffled}
         assert ans_a == [ans_b[q] for q in queries]
+        # a query realises the cells within r = 1 of its home cell, whatever the order
+        assert set(fa.realized_cells) == set(fb.realized_cells) == neighbourhoods(queries, fa.cell_size, 1)
 
     def test_scalar_matches_bulk(self):
         # the vectorised realisation path must be bit-identical to the
@@ -314,6 +326,111 @@ class TestStackedTable:
             StackedTable(tiny).is_blocked(np.array([0.0, 1e3]), np.array([0, 1]))
         with pytest.raises(ValueError):
             StackedTable([ObstacleField(2, 0.5, 0.3, 1)])
+
+
+def brute_blocked(field, x):
+    """The inclusive rule over the centres ``realize_box`` gives near x."""
+    x = tuple(float(v) for v in x)
+    near = field.realize_box([v - field.a - 1.0 for v in x], [v + field.a + 1.0 for v in x])
+    return any(math.dist(tuple(p), x) <= field.a for p in near.tolist())
+
+
+def axis_edges(centres, a):
+    """Points at c +- a along each axis from every centre, with both float
+    neighbours of the moved coordinate."""
+    out = []
+    for c in centres:
+        for q in range(len(c)):
+            for edge in (c[q] - a, c[q] + a):
+                for v in (edge, math.nextafter(edge, math.inf), math.nextafter(edge, -math.inf)):
+                    x = list(c)
+                    x[q] = v
+                    out.append(tuple(x))
+    return out
+
+
+# (nu, a, cell_size): a below, equal to and above the cell size
+REACH_SETTINGS = [(0.8, 0.3, 1.0), (0.5, 1.0, 1.0), (0.1, 1.3, 0.6)]
+
+
+class TestReachLists:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("nu,a,cs", REACH_SETTINGS)
+    def test_ball_edges_match_the_exact_rule(self, d, nu, a, cs):
+        f = ObstacleField(d, nu, a, 61 + d, cs)
+        centres = f.realize_box([-2.5] * d, [2.5] * d).tolist()
+        queries = axis_edges(centres, a)
+        got = [f.is_blocked(x) for x in queries]
+        assert got == [brute_blocked(f, x) for x in queries]
+        # along an axis both distances are exact, so the bulk rule agrees too
+        assert got == (f.nearest_distances(np.asarray(queries)) <= a).tolist()
+        assert any(got) and not all(got)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("nu,a,cs", REACH_SETTINGS)
+    def test_random_queries_match_nearest_distances(self, d, nu, a, cs):
+        f = ObstacleField(d, nu, a, 71 + d, cs)
+        xs = np.random.default_rng(d).uniform(-6.0, 6.0, (20_000, d))
+        got = np.array([f.is_blocked(x) for x in xs.tolist()])
+        assert np.array_equal(got, f.nearest_distances(xs) <= a)
+        assert 0.05 < got.mean() < 0.95
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("cs", [0.1, 0.3, 1.0])
+    @pytest.mark.parametrize("ratio", [0.3, 1.0, 2.5])
+    def test_queries_one_ulp_off_cell_edges(self, d, cs, ratio):
+        # x at k * cell_size and one ulp either side, where floor(x / cs) may
+        # round across the cell edge, each with a lone centre at x -+ a (or
+        # one ulp either side of it) on the first axis
+        a = ratio * cs
+        rest = [0.5 * cs + 0.1 * q for q in range(1, d)]
+        got, want = [], []
+        for k in range(-100, 101):
+            edge = k * cs
+            for v in (edge, math.nextafter(edge, math.inf), math.nextafter(edge, -math.inf)):
+                x = tuple([v] + rest)
+                for c in (v - a, v + a):
+                    for w in (c, math.nextafter(c, math.inf), math.nextafter(c, -math.inf)):
+                        f = ObstacleField.from_points([[w] + rest], a=a, cell_size=cs)
+                        got.append(f.is_blocked(x))
+                        want.append(brute_blocked(f, x))
+        assert got == want
+        assert any(got) and not all(got)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_coordinates_near_a_million(self, sign):
+        f = ObstacleField(2, 0.8, 0.3, 83, 1.0)
+        base = sign * 1e6
+        centres = f.realize_box([base - 3.0, base - 3.0], [base + 3.0, base + 3.0]).tolist()
+        rng = np.random.default_rng(4)
+        queries = axis_edges(centres, f.a) + [tuple(v) for v in (base + rng.uniform(-2.5, 2.5, (5000, 2))).tolist()]
+        got = [f.is_blocked(x) for x in queries]
+        assert got == [brute_blocked(f, x) for x in queries]
+        assert got == (f.nearest_distances(np.asarray(queries)) <= f.a).tolist()
+
+    def test_finite_and_empty_fields(self):
+        pts = [[0.0, 0.0], [0.95, 0.2], [1.05, 0.2], [-3.0, 2.999999], [2.0, -2.0]]
+        rng = np.random.default_rng(8)
+        for a, cs in [(0.4, 1.0), (1.0, 1.0), (1.3, 0.5)]:
+            f = ObstacleField.from_points(pts, a=a, cell_size=cs)
+            queries = axis_edges(pts, a) + [tuple(v) for v in rng.uniform(-5.0, 5.0, (3000, 2)).tolist()]
+            got = [f.is_blocked(x) for x in queries]
+            assert got == [brute_blocked(f, x) for x in queries]
+            assert got == (f.nearest_distances(np.asarray(queries)) <= a).tolist()
+            assert len(f.realized_cells) == len({tuple(math.floor(v / cs) for v in p) for p in pts})
+        empty = ObstacleField.from_points([], a=0.7, d=3)
+        assert not any(empty.is_blocked(x) for x in rng.uniform(-5.0, 5.0, (200, 3)).tolist())
+        assert empty.realized_cells == {}
+
+    @pytest.mark.parametrize("nu,a,cs,r", [(0.8, 0.3, 1.0, 1), (0.5, 1.0, 1.0, 2), (0.3, 1.7, 0.6, 3)])
+    def test_realised_cells_are_the_neighbourhoods_of_home_cells(self, nu, a, cs, r):
+        # r * cell_size > a: at a == cell_size a ball reaches the second ring
+        queries = [tuple(v) for v in np.random.default_rng(10).uniform(-9.0, 9.0, (300, 2)).tolist()]
+        for order in (queries, queries[::-1], sorted(queries)):
+            f = ObstacleField(2, nu, a, 97, cs)
+            for x in order:
+                f.is_blocked(x)
+            assert set(f.realized_cells) == neighbourhoods(queries, cs, r)
 
 
 class TestNearestDistance:
