@@ -81,8 +81,6 @@ _BINS_PER_RADIUS = 16
 _MAX_BINS = 1 << 20
 # bin states, ordered so that a bin takes the largest mark any centre gives it
 _FREE, _MIXED, _BLOCKED = 0, 1, 2
-# below this many points a Python min/max beats two numpy reductions
-_FEW_POINTS = 32
 
 
 def _poisson_cdf_table(lam: float) -> list:
@@ -194,7 +192,6 @@ class ObstacleField:
         # distance a bulk box keeps beyond every query point: at least a
         self._margin = max(self.a, self.cell_size) + self.cell_size
         self._bulk_cache = None  # _LineCache (d == 1) or _TreeCache (d >= 2)
-        self._served = None  # (lo, hi) float lists: the query box the bulk cache covers
         self.bulk_rebuilds = 0
 
     @property
@@ -342,28 +339,27 @@ class ObstacleField:
     # -- bulk queries --------------------------------------------------------
 
     def _query_box(self, lo: list, hi: list):
-        """Bulk cache covering every query point in [lo, hi] (float lists, one
-        entry per coordinate) with margin >= a.
+        """Bulk cache covering every query point in [lo, hi] (one entry per
+        coordinate) with margin >= a.
 
-        A query inside the box the cache serves costs one comparison per
-        coordinate and side; only a miss realises a new box, grown
-        geometrically (see :func:`_grown_box`).
+        A query inside the box the cache serves (:func:`_covers`) costs one
+        comparison per coordinate and side; only a miss realises a new box,
+        grown geometrically (see :func:`_grown_box`).
         """
-        served = self._served
-        if served is not None and all(map(operator.ge, lo, served[0])) and all(map(operator.le, hi, served[1])):
-            return self._bulk_cache
+        cache = self._bulk_cache
+        if _covers(cache, lo, hi):
+            return cache
         m = self._margin
-        new_lo, new_hi = _grown_box(self._bulk_cache, np.asarray(lo) - m, np.asarray(hi) + m, 4.0 * self.cell_size)
+        new_lo, new_hi = _grown_box(cache, np.asarray(lo) - m, np.asarray(hi) + m, 4.0 * self.cell_size)
         pts = self.realize_box(new_lo, new_hi)
         self.bulk_rebuilds += 1
         if self.d == 1:
-            cache = _line_cache(new_lo, new_hi, np.sort(pts[:, 0]), self.a)
+            cache = _line_cache(new_lo, new_hi, np.sort(pts[:, 0]), self.a, margin=m)
         else:
             from scipy.spatial import cKDTree
 
-            cache = _TreeCache(new_lo, new_hi, cKDTree(pts) if len(pts) else None)
+            cache = _TreeCache(new_lo, new_hi, _served_box(new_lo, new_hi, m), cKDTree(pts) if len(pts) else None)
         self._bulk_cache = cache
-        self._served = ((new_lo + m).tolist(), (new_hi - m).tolist())
         return cache
 
     def nearest_distances(self, xs: np.ndarray) -> np.ndarray:
@@ -399,12 +395,7 @@ class ObstacleField:
         q = np.asarray(xs, dtype=float).reshape(-1)
         if q.size == 0:
             return np.zeros(0, dtype=bool)
-        if q.size <= _FEW_POINTS:
-            few = q.tolist()
-            lo, hi = min(few), max(few)
-        else:
-            lo, hi = q.min(), q.max()
-        return self._query_box([lo], [hi]).blocked(q)
+        return self._query_box([q.min()], [q.max()]).blocked(q)
 
 
 class StackedTable:
@@ -433,13 +424,29 @@ class StackedTable:
         """``fields[rows[i]].is_blocked(xs[i])`` for every i, as one bool array."""
         if len(xs) == 0:
             return np.zeros(0, dtype=bool)
-        lo, hi, table = xs.min() - self.margin, xs.max() + self.margin, self.table
-        if table is None or lo < table.x0 or hi > table.x1:
-            box_lo, box_hi = _grown_box(table, np.atleast_1d(lo), np.atleast_1d(hi), self.pad)
+        lo, hi, table = xs.min(), xs.max(), self.table
+        if not _covers(table, [lo], [hi]):
+            m = self.margin
+            box_lo, box_hi = _grown_box(table, np.atleast_1d(lo - m), np.atleast_1d(hi + m), self.pad)
             line, counts = _stacked_lines(self.fields, float(box_lo[0]), float(box_hi[0]))
-            self.table = table = _line_cache(box_lo, box_hi, line, self.radii, counts)
+            self.table = table = _line_cache(box_lo, box_hi, line, self.radii, counts, m)
             self.builds += 1
         return table.blocked(xs, rows)
+
+
+def _served_box(lo: np.ndarray, hi: np.ndarray, margin: float) -> tuple:
+    """Bounds of the query points a bulk box [lo, hi) serves, those at least
+    ``margin`` from its edges, as (lo, hi) float lists."""
+    return (lo + margin).tolist(), (hi - margin).tolist()
+
+
+def _covers(cache, lo: list, hi: list) -> bool:
+    """Whether the bulk box ``cache`` (None before the first) serves every
+    query point in [lo, hi], one entry per coordinate."""
+    if cache is None:
+        return False
+    served_lo, served_hi = cache.served
+    return all(map(operator.ge, lo, served_lo)) and all(map(operator.le, hi, served_hi))
 
 
 def _grown_box(cache, lo: np.ndarray, hi: np.ndarray, pad: float):
@@ -517,6 +524,7 @@ def _stacked_lines(fields, x0: float, x1: float):
 class _TreeCache(NamedTuple):
     lo: np.ndarray
     hi: np.ndarray
+    served: tuple  # see _served_box
     tree: object  # scipy cKDTree, None for an empty box
 
 
@@ -530,7 +538,7 @@ class _LineCache:
     ranges do not overlap.
     """
 
-    __slots__ = ("lo", "hi", "x0", "x1", "line", "starts", "keys", "span", "a", "inv_h", "n", "state")
+    __slots__ = ("lo", "hi", "served", "x0", "x1", "line", "starts", "keys", "span", "a", "inv_h", "n", "state")
 
     def blocked(self, q: np.ndarray, row=None) -> np.ndarray:
         """Whether each q[i] lies within a of a centre of row ``row[i]``
@@ -573,8 +581,9 @@ def _line_distances(line, q, key=None, keys=None, first=0, end=None) -> np.ndarr
     return np.minimum(left, right)
 
 
-def _line_cache(lo: np.ndarray, hi: np.ndarray, line: np.ndarray, a, counts=None) -> _LineCache:
-    """d = 1 bulk cache over [lo, hi) with its blocking table.
+def _line_cache(lo: np.ndarray, hi: np.ndarray, line: np.ndarray, a, counts=None, margin: float = 0.0) -> _LineCache:
+    """d = 1 bulk cache over [lo, hi) with its blocking table, serving the
+    query points at least ``margin`` from its edges (:func:`_served_box`).
 
     ``line`` holds the sorted centres in the box; with ``counts`` it holds
     ``len(counts)`` rows, row r holding ``counts[r]`` centres with blocking
@@ -598,6 +607,7 @@ def _line_cache(lo: np.ndarray, hi: np.ndarray, line: np.ndarray, a, counts=None
     a_row = np.broadcast_to(np.asarray(a, dtype=float), (rows,))
     cache = _LineCache()
     cache.lo, cache.hi, cache.x0, cache.x1, cache.line, cache.a = lo, hi, x0, x1, line, a_row
+    cache.served = _served_box(lo, hi, margin)
     cache.starts = np.concatenate(([0], np.cumsum(counts)))
     cache.span = 2.0 * (x1 - x0)
     cache.keys = None

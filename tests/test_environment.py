@@ -258,6 +258,33 @@ class TestBlockingTable:
         # the box must reach about +-200 from about +-6: at most log2(400 / 12) + 1 builds
         assert f.bulk_rebuilds <= 1 + math.log2(412.0 / 12.0)
 
+    def test_every_bulk_box_serves_queries_a_margin_inside_it(self):
+        f1 = ObstacleField(1, 1.0, 0.3, 46, 1.0)
+        f2 = ObstacleField(2, 0.5, 0.3, 46, 1.0)
+        table = StackedTable(mixed_fields())
+        f1.is_blocked_many(np.zeros(1))
+        f2.is_blocked_many(np.zeros((1, 2)))
+        table.is_blocked(np.zeros(1), np.zeros(1, dtype=np.intp))
+        for cache, margin in ((f1._bulk_cache, f1._margin), (f2._bulk_cache, f2._margin), (table.table, table.margin)):
+            assert margin >= 1.0
+            assert cache.served == ((cache.lo + margin).tolist(), (cache.hi - margin).tolist())
+        # queries on the served edges reuse the box, one an ulp beyond rebuilds it
+        (lo,), (hi,) = f1._bulk_cache.served
+        f1.is_blocked_many(np.array([lo, hi]))
+        assert f1.bulk_rebuilds == 1
+        f1.is_blocked_many(np.array([np.nextafter(lo, -np.inf)]))
+        assert f1.bulk_rebuilds == 2
+        (lo,), (hi,) = table.table.served
+        table.is_blocked(np.array([lo, hi]), np.array([0, 5]))
+        assert table.builds == 1
+        table.is_blocked(np.array([np.nextafter(hi, np.inf)]), np.array([5]))
+        assert table.builds == 2
+        (lo, _), (hi, _) = f2._bulk_cache.served
+        f2.is_blocked_many(np.array([[lo, 0.0], [hi, 0.0]]))
+        assert f2.bulk_rebuilds == 1
+        f2.is_blocked_many(np.array([[np.nextafter(hi, np.inf), 0.0]]))
+        assert f2.bulk_rebuilds == 2
+
 
 def mixed_fields():
     """d = 1 fields that differ in nu, a and cell_size, plus a finite and an empty one."""
