@@ -60,7 +60,6 @@ from .feynman_kac import (
     FkEstimate,
     estimate_annealed_mass,
     estimate_quenched_mass,
-    occupation_functional,
     sample_free_times,
 )
 from .genealogy import (

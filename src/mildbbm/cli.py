@@ -24,11 +24,13 @@ the run's config hash and master seed.
 Exit codes
 ----------
 0  pass
-1  statistical gate failed
+1  statistical gate failed, or (fk-compare, dichotomy) some runs hit the
+   particle cap
 2  configuration error: the config is checked when it is loaded, by
    building the model constants, a simulation config and the obstacle
    field it describes
-3  campaign invalidated by particle-cap truncation
+3  campaign invalidated by particle-cap truncation (fk-compare and
+   dichotomy: every run hit the cap)
 4  internal fault or i/o failure; the traceback goes to stderr
 """
 
@@ -418,7 +420,8 @@ def cmd_fk_compare(cfg) -> int:
     combined_se = math.hypot(branch_se, est.std_error)
     diff = abs(branch_mean - est.point_estimate)
     gate = cfg["gates"]["se_gate"]
-    passed = diff <= gate * combined_se or diff == 0.0
+    # the truncated runs are the heaviest, so the survivors' mean is biased low
+    passed = (diff <= gate * combined_se or diff == 0.0) and truncated == 0
     halving_shift = None
     halving_pass = None
     if cfg["dt_halving"]:

@@ -531,14 +531,17 @@ class _TreeCache(NamedTuple):
 class _LineCache:
     """d = 1 blocking table over [lo, hi), one row of bins per field.
 
-    ``line`` holds every row's sorted centres, row after row; row r's
-    are ``line[starts[r]:starts[r + 1]]``, and ``state[r * n + j]`` is the
-    state of its bin j.  Across rows the centres are searched by the keys
-    ``c + r * span``: ``span`` is twice the box width, so the rows' key
-    ranges do not overlap.
+    ``line`` holds every row's sorted centres, row after row, each row's
+    between a -inf and a +inf sentinel, and ``state[r * n + j]`` is the
+    state of row r's bin j.  Across rows the centres are searched by the
+    increasing ``keys``, ``c + r * span``: ``span`` is twice the box width,
+    so the rows' key ranges do not overlap, and row r's sentinels have the
+    keys ``x0 - span / 8`` and ``x1 + span / 8`` past ``r * span``, between
+    the rows' key ranges.  A query of row r, keyed ``q + r * span``, is
+    therefore always placed between its own row's sentinels.
     """
 
-    __slots__ = ("lo", "hi", "served", "x0", "x1", "line", "starts", "keys", "span", "a", "inv_h", "n", "state")
+    __slots__ = ("lo", "hi", "served", "x0", "x1", "line", "keys", "span", "a", "inv_h", "n", "state")
 
     def blocked(self, q: np.ndarray, row=None) -> np.ndarray:
         """Whether each q[i] lies within a of a centre of row ``row[i]``
@@ -555,30 +558,25 @@ class _LineCache:
         return blocked
 
     def distances(self, q: np.ndarray, row=None) -> np.ndarray:
-        """Distance from each q[i] to the nearest centre of row ``row[i]``."""
-        if row is None:
-            return _line_distances(self.line, q)
-        return _line_distances(self.line, q, q + row * self.span, self.keys, self.starts[row], self.starts[row + 1])
+        """Distance from each q[i] to the nearest centre of row ``row[i]``
+        (row 0 when ``row`` is None), inf for a row with no centre."""
+        return _line_distances(self.line, self.keys, q, q if row is None else q + row * self.span)
 
 
-def _line_distances(line, q, key=None, keys=None, first=0, end=None) -> np.ndarray:
-    """Distance from each q to the nearest entry of the sorted array ``line``.
+def _line_distances(line, keys, q, key) -> np.ndarray:
+    """Distance from each q to its nearest entry of ``line``.
 
-    With ``keys``, q[i] is placed among ``keys`` (the increasing search
-    keys of ``line``) by ``key[i]``, and only the entries in
-    [first[i], end[i]) count.  Keys are rounded and may tie, but rounding
-    keeps their order: an entry placed on the wrong side of q has q's key,
-    so it lies within rounding of q and is taken as q's right neighbour.
-    The distance is then at most that rounding instead of exact, which
-    decides a blocking query the same way.
+    q[i] is placed among ``keys`` (the increasing search keys of ``line``)
+    by ``key[i]``, and must land strictly between a -inf and a +inf entry
+    of ``line``, so both of its neighbours exist and a sentinel neighbour
+    is infinitely far.  Keys are rounded and may tie, but rounding keeps
+    their order: an entry placed on the wrong side of q has q's key, so it
+    lies within rounding of q and is taken as q's right neighbour.  The
+    distance is then at most that rounding instead of exact, which decides
+    a blocking query the same way.
     """
-    if len(line) == 0:
-        return np.full(len(q), np.inf)
-    idx = np.searchsorted(line if keys is None else keys, q if key is None else key)
-    end = len(line) if end is None else end
-    left = np.where(idx > first, np.abs(q - line[np.maximum(idx - 1, 0)]), np.inf)
-    right = np.where(idx < end, np.abs(line[np.minimum(idx, len(line) - 1)] - q), np.inf)
-    return np.minimum(left, right)
+    idx = np.searchsorted(keys, key)
+    return np.minimum(np.abs(q - line[idx - 1]), np.abs(line[idx] - q))
 
 
 def _line_cache(lo: np.ndarray, hi: np.ndarray, line: np.ndarray, a, counts=None, margin: float = 0.0) -> _LineCache:
@@ -587,8 +585,11 @@ def _line_cache(lo: np.ndarray, hi: np.ndarray, line: np.ndarray, a, counts=None
 
     ``line`` holds the sorted centres in the box; with ``counts`` it holds
     ``len(counts)`` rows, row r holding ``counts[r]`` centres with blocking
-    radius ``a[r]``.  All rows share one bin width h, at most a/16 for the
-    smallest radius (wider when the table would hold more than 2^20 bins).
+    radius ``a[r]``.  The cache keeps each row's centres between a -inf
+    and a +inf sentinel, keyed between the rows' key ranges (see
+    :class:`_LineCache`), so a search needs no row bounds.  All rows share
+    one bin width h, at most a/16 for the smallest radius (wider when the
+    table would hold more than 2^20 bins).
 
     Every point x of bin j lies within h/2 of the bin's midpoint m_j, so
     the bin is free if m_j is farther than a + h/2 from every centre and
@@ -606,19 +607,23 @@ def _line_cache(lo: np.ndarray, hi: np.ndarray, line: np.ndarray, a, counts=None
     rows = len(counts)
     a_row = np.broadcast_to(np.asarray(a, dtype=float), (rows,))
     cache = _LineCache()
-    cache.lo, cache.hi, cache.x0, cache.x1, cache.line, cache.a = lo, hi, x0, x1, line, a_row
+    cache.lo, cache.hi, cache.x0, cache.x1, cache.a = lo, hi, x0, x1, a_row
     cache.served = _served_box(lo, hi, margin)
-    cache.starts = np.concatenate(([0], np.cumsum(counts)))
-    cache.span = 2.0 * (x1 - x0)
-    cache.keys = None
+    span = cache.span = 2.0 * (x1 - x0)
     row = np.repeat(np.arange(rows), counts)
-    if rows > 1:
-        # two keys that round to one value differ by at most 2^-51 times
-        # the largest key, which must stay far below every radius (see
-        # _line_distances)
-        if 2.0**-46 * (max(abs(x0), abs(x1)) + rows * cache.span) > a_row.min():
-            raise ValueError("box too wide for a stacked table at these radii")
-        cache.keys = line + row * cache.span
+    # two keys that round to one value differ by at most 2^-51 times the
+    # largest key, which must stay far below every radius (see _line_distances)
+    if rows > 1 and 2.0**-46 * (max(abs(x0), abs(x1)) + rows * span) > a_row.min():
+        raise ValueError("box too wide for a stacked table at these radii")
+    # the 2r sentinels of the rows before row r shift its entries by 2r
+    r = np.arange(rows)
+    right = np.cumsum(counts) + 2 * r + 1  # each row's +inf sentinel
+    left = right - counts - 1  # and its -inf sentinel
+    inside = np.arange(len(line)) + 2 * row + 1
+    cache.line, cache.keys = np.empty((2, len(line) + 2 * rows))
+    cache.line[inside], cache.keys[inside] = line, line + row * span
+    cache.line[left], cache.line[right] = -np.inf, np.inf
+    cache.keys[left], cache.keys[right] = x0 - span / 8 + r * span, x1 + span / 8 + r * span
     h = max(a_row.min() / _BINS_PER_RADIUS, rows * (x1 - x0) / _MAX_BINS)
     n = int((x1 - x0) / h) + 2
     slack = 0.5 * h * (1.0 + 1e-6) + 1e-12 * (abs(x0) + abs(x1) + a_row)
@@ -684,7 +689,8 @@ def largest_clearing(field: ObstacleField, ell: float, resolution: float) -> Cle
             margin *= 2.0
             continue
         if field.d == 1:
-            dists = _line_distances(np.sort(pts[:, 0]), centers[:, 0])
+            line = np.concatenate(([-np.inf], np.sort(pts[:, 0]), [np.inf]))
+            dists = _line_distances(line, line, centers[:, 0], centers[:, 0])
         else:
             from scipy.spatial import cKDTree
 

@@ -13,14 +13,21 @@ grid, with the indicator integral discretised by the left-endpoint rule
 test suite).  Averaging the quenched estimator over independently drawn
 environments gives the annealed expectation.
 
-The sampler steps all paths together in blocks of k time steps: one
-(k, n_paths[, d]) normal draw, one running sum along time from the carried
-positions, and one ``is_blocked_many`` call for all k * n_paths left
-endpoints.  A (k, n) draw fills in the order of k draws of (n,), and the
-running sum adds in the order of the step-by-step update, so the free
-times are those of stepping one time step at a time.  k is chosen so that
-a block holds at most 16,384 points (at least one step), which keeps the
-sampler's working memory at a few hundred kilobytes whatever the horizon.
+The sampler steps all paths together in blocks of k time steps, in one
+buffer of rows allocated per call: row 0 holds the carried positions, and
+a block draws its (k, n_paths[, d]) normals straight into the rows after
+it, adds each row to the one before in place (one vectorised add per time
+step, or two with a drift row between), and makes one ``is_blocked_many``
+call for all k * n_paths left endpoints.  A (k, n) draw fills in the order
+of k draws of (n,), and the adds run in the order of the step-by-step
+update, so the free times are those of stepping one time step at a time.
+k is chosen so that a block holds at most 16,384 points (at least one
+step), which keeps the sampler's working memory at a few hundred kilobytes
+whatever the horizon.  An add has a fixed cost whatever the block's width,
+so narrow blocks pay more per path-step.  On 2 vCPUs of a shared virtual
+machine (numpy 2.4, BENCH_8.json) a path-step cost 29-34 ns at 512 paths,
+against 33-36 ns with a running sum along time (numpy's ``cumsum``), but
+55-75 ns at 50 paths, against 32-36 ns.
 
 Caveat: the estimand averages an exponential whose upper tail (paths that
 stay free for most of [0, t], which become dominant as rare clearings take
@@ -44,7 +51,6 @@ from .seeds import derive_seed
 
 __all__ = [
     "FkEstimate",
-    "occupation_functional",
     "sample_free_times",
     "estimate_quenched_mass",
     "estimate_annealed_mass",
@@ -72,22 +78,6 @@ class FkEstimate:
     log_std_error: float
 
 
-def occupation_functional(path, field: ObstacleField, dt: float) -> float:
-    """Discretised free time of one path: sum over grid steps of dt * 1{free}.
-
-    ``path`` holds positions on a uniform grid of step dt, including both
-    endpoints; the left-endpoint rule uses every position except the last.
-    """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    path = np.asarray(path, dtype=float)
-    lefts = path[:-1]
-    if lefts.ndim == 1:
-        lefts = lefts[:, None]
-    blocked = field.is_blocked_many(lefts)
-    return dt * float(len(lefts) - blocked.sum())
-
-
 def sample_free_times(field, beta, t, dt, n_paths, seed, drift=0.0):
     """Free-time samples for n_paths Brownian paths started at the origin.
 
@@ -109,28 +99,30 @@ def sample_free_times(field, beta, t, dt, n_paths, seed, drift=0.0):
         raise ValueError(f"drift has dimension {drift_vec.size}, expected {d}")
     shape = (n_paths,) if d == 1 else (n_paths, d)
     step_drift = drift_vec[0] * dt if d == 1 else drift_vec * dt
-    # one row per drift term and per noise term, so that the running sum
-    # adds (pos + drift) + noise in the order of a step-by-step update
+    # one row per drift term and per noise term, so that the per-row adds
+    # compute (pos + drift) + noise in the order of a step-by-step update
     per_step = 2 if np.any(drift_vec) else 1
     sd = math.sqrt(dt)
-    pos = np.zeros(shape)
     # integer step counts, so that a fully free path yields exactly t_eff
     free_steps = np.zeros(n_paths, dtype=np.int64)
-    block = max(1, _BLOCK_POINTS // n_paths)
+    block = max(1, min(_BLOCK_POINTS // n_paths, n_steps))
+    # row 0 holds the carried positions, starting at the origin
+    walk = np.zeros((per_step * block + 1,) + shape)
+    noise = np.empty((block,) + shape) if per_step == 2 else walk[1:]
     for start in range(0, n_steps, block):
         k = min(block, n_steps - start)
-        noise = rng.standard_normal((k,) + shape)
-        walk = np.empty((per_step * k + 1,) + shape)
-        walk[0] = pos
+        rows = per_step * k
+        rng.standard_normal(out=noise[:k])
+        np.multiply(noise[:k], sd, out=walk[per_step : rows + 1 : per_step])
         if per_step == 2:
-            walk[1::2] = step_drift
-        np.multiply(noise, sd, out=walk[per_step::per_step])
-        np.cumsum(walk, axis=0, out=walk)
+            walk[1:rows:2] = step_drift
+        for j in range(1, rows + 1):
+            np.add(walk[j - 1], walk[j], out=walk[j])
         # rows 0, per_step, ...: the k left endpoints, then the carried position
-        lefts = walk[::per_step]
-        blocked = field.is_blocked_many(lefts[:k].reshape((k * n_paths,) + shape[1:]))
+        lefts = walk[:rows:per_step]
+        blocked = field.is_blocked_many(lefts.reshape((k * n_paths,) + shape[1:]))
         free_steps += k - blocked.reshape(k, n_paths).sum(axis=0)
-        pos = lefts[k].copy()
+        walk[0] = walk[rows]
     return free_steps * dt, t_eff
 
 

@@ -153,6 +153,21 @@ class TestGates:
         csv = read(out / "fk_estimates.csv").splitlines()
         assert csv[1] == "t,estimate,log_estimate,se,n_paths,n_envs"
 
+    def test_fk_compare_fails_when_some_runs_truncate(self, tmp_path):
+        # a cap of 20 cuts 3 of the 400 Yule runs (mean e^1.5 = 4.5): the
+        # survivors' mean alone would pass the SE gate, but it is biased low
+        out = tmp_path / "fk"
+        rc = main(
+            ["fk-compare", "--d", "1", "--beta", "1", "--t-max", "1.5",
+             "--runs", "400", "--n-paths", "400", "--dt", "5e-3", "--cap", "20",
+             "--empty-env", "--no-dt-halving", "--seed", "6", "--out", str(out)]
+        )
+        rep = json.loads(read(out / "fk_report.json"))
+        assert 0 < rep["truncated_runs"] < 400
+        assert rep["diff"] <= rep["se_gate"] * rep["combined_se"]
+        assert not rep["pass"]
+        assert rc == 1
+
     def test_fk_compare_runs_do_not_depend_on_blocks_or_workers(self, tmp_path, monkeypatch):
         from mildbbm import cli
 

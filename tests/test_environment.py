@@ -355,6 +355,64 @@ class TestStackedTable:
             StackedTable([ObstacleField(2, 0.5, 0.3, 1)])
 
 
+def brute_distances(centres, q):
+    """min |q - c| over ``centres``, inf when there is none."""
+    if len(centres) == 0:
+        return np.full(len(q), np.inf)
+    return np.abs(q[:, None] - centres[None, :]).min(axis=1)
+
+
+def served_queries(cache, centres, a, rng):
+    """Queries inside the box ``cache`` serves: c +- a and their float
+    neighbours, the served edges and the floats just inside them, and
+    uniform points."""
+    (lo,), (hi,) = cache.served
+    edges = [lo, np.nextafter(lo, np.inf), hi, np.nextafter(hi, -np.inf)]
+    q = np.concatenate([boundary_queries(centres, a), edges, rng.uniform(lo, hi, 400)])
+    return q[(q >= lo) & (q <= hi)]
+
+
+class TestLineSearch:
+    """``_LineCache.distances`` against a brute-force search of each row's
+    own centres."""
+
+    def test_one_row(self):
+        from mildbbm.environment import _line_cache
+
+        rng = np.random.default_rng(12)
+        inner = np.sort(rng.uniform(-15.0, 15.0, 60))
+        # centres inside the served box only, also on both box edges, and none
+        for centres in (inner, np.concatenate([[-20.0], inner, [np.nextafter(20.0, -np.inf)]]), np.empty(0)):
+            cache = _line_cache(np.array([-20.0]), np.array([20.0]), centres, 0.3, margin=2.0)
+            q = served_queries(cache, centres, 0.3, rng)
+            assert np.array_equal(cache.distances(q), brute_distances(centres, q))
+
+    def test_stacked_rows(self):
+        from mildbbm.environment import _line_cache
+
+        rng = np.random.default_rng(13)
+        x0, x1 = -20.0, 20.0
+        # many centres, none, one, centres on both box edges, and none again
+        rows = [
+            np.sort(rng.uniform(x0, x1, 50)),
+            np.empty(0),
+            np.array([3.7]),
+            np.sort(np.concatenate([[x0, np.nextafter(x1, -np.inf)], rng.uniform(x0, x1, 30)])),
+            np.empty(0),
+        ]
+        radii = np.array([0.3, 0.2, 0.5, 0.25, 0.4])
+        cache = _line_cache(
+            np.array([x0]), np.array([x1]), np.concatenate(rows), radii, [len(c) for c in rows], 2.0
+        )
+        every = np.concatenate(rows)
+        for r, centres in enumerate(rows):
+            # each row's own edges, and every other row's, which must not count
+            q = np.concatenate([served_queries(cache, centres, radii[r], rng), every])
+            got = cache.distances(q, np.full(len(q), r))
+            assert np.array_equal(got, brute_distances(centres, q)), r
+        assert np.isinf(cache.distances(every, np.full(len(every), 1))).all()
+
+
 def brute_blocked(field, x):
     """The inclusive rule over the centres ``realize_box`` gives near x."""
     x = tuple(float(v) for v in x)

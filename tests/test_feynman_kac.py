@@ -12,7 +12,6 @@ from mildbbm.feynman_kac import (
     FkEstimate,
     estimate_annealed_mass,
     estimate_quenched_mass,
-    occupation_functional,
     sample_free_times,
     write_estimates_csv,
 )
@@ -28,23 +27,6 @@ class BlockEverywhere:
 
 def empty_field(d=1):
     return ObstacleField.from_points([], a=0.3, d=d)
-
-
-class TestOccupationFunctional:
-    def test_empty_field_gives_full_time(self):
-        path = np.zeros(101)
-        assert occupation_functional(path, empty_field(), 0.01) == pytest.approx(1.0, abs=1e-12)
-
-    def test_blocked_everywhere_gives_zero(self):
-        path = np.zeros(101)
-        assert occupation_functional(path, BlockEverywhere(), 0.01) == 0.0
-
-    def test_left_endpoint_rule(self):
-        # blocked iff |x - 2| <= 0.5; path enters the ball at its 3rd point
-        field = ObstacleField.from_points([[2.0]], a=0.5)
-        path = np.asarray([0.0, 1.0, 2.0, 2.2, 1.0])
-        # left endpoints: 0, 1, 2, 2.2 -> two blocked
-        assert occupation_functional(path, field, 0.5) == pytest.approx(1.0)
 
 
 class TestQuenchedEstimator:
@@ -127,7 +109,9 @@ class BatchRecorder:
 
 class TestBlockStepping:
     # (d, drift, n_paths, t, dt): 100 steps of 500 paths are blocks of 32 + 4;
-    # 16,500 paths are one step per block
+    # 16,500 paths are one step per block; 6,000 steps of 3 paths are blocks
+    # of 5,461 + 539 steps, so a long block's last rows are carried and its
+    # drift rows refilled
     CASES = [
         (1, 0.0, 500, 0.1, 1e-3),
         (1, 1.5, 500, 0.1, 1e-3),
@@ -135,6 +119,8 @@ class TestBlockStepping:
         (2, (0.8, -0.4), 300, 0.5, 5e-3),
         (1, 0.5, 16_500, 0.01, 1e-3),
         (2, 0.0, 16_500, 0.2, 0.02),
+        (1, 1.5, 3, 6.0, 1e-3),
+        (2, (0.8, -0.4), 3, 6.0, 1e-3),
     ]
 
     @pytest.mark.parametrize("d, drift, n_paths, t, dt", CASES)
