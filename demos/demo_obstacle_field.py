@@ -25,12 +25,14 @@ frac = field.is_blocked_many(xs).mean()
 print(f"blocked fraction {frac:.4f} vs 1 - e^(-2 nu a) = {1 - math.exp(-2 * nu * a):.4f}")
 
 print()
-print("same cells, regenerated in reverse order, give identical points:")
+print("same boxes, regenerated in reverse order on a second field, give identical points:")
+boxes = [([7.0], [8.0]), ([-3.0], [-2.0]), ([0.0], [1.0])]
 other = ObstacleField(d=1, nu=nu, a=a, master_seed=20_260_808)
-for cell in [(7,), (-3,), (0,)]:
-    other._cells.clear()
-    assert np.array_equal(field._cell_points(cell), other._cell_points(cell))
-print("  verified on cells 7, -3, 0")
+again = [other.realize_box(lo, hi) for lo, hi in boxes[::-1]][::-1]
+fresh = ObstacleField(d=1, nu=nu, a=a, master_seed=20_260_808)
+for (lo, hi), pts in zip(boxes, again):
+    assert np.array_equal(fresh.realize_box(lo, hi), pts)
+print("  verified on [7, 8), [-3, -2), [0, 1)")
 
 print()
 mc = ModelConstants(1, nu, 1.0, a)

@@ -101,7 +101,7 @@ def _bessel_series(order: float, x: float) -> float:
 
 
 def _bessel_first_zero(order: float) -> float:
-    """First positive zero of J_order by bracketing and bisection."""
+    """First positive zero of J_order by bracketing it and halving the bracket."""
     step = 0.05
     x_prev, f_prev = step, _bessel_series(order, step)
     x = x_prev

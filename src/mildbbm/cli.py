@@ -24,13 +24,13 @@ the run's config hash and master seed.
 Exit codes
 ----------
 0  pass
-1  statistical gate failed, or (fk-compare, dichotomy) some runs hit the
-   particle cap
+1  statistical gate failed, or (growth-curve, fk-compare, dichotomy) some
+   runs hit the particle cap
 2  configuration error: the config is checked when it is loaded, by
    building the model constants, a simulation config and the obstacle
    field it describes
-3  campaign invalidated by particle-cap truncation (fk-compare and
-   dichotomy: every run hit the cap)
+3  campaign invalidated by particle-cap truncation (growth-curve,
+   fk-compare and dichotomy: every run hit the cap)
 4  internal fault or i/o failure; the traceback goes to stderr
 """
 
@@ -227,7 +227,7 @@ def _run_in_worker(index):
     return _worker["fn"](_worker["cfg"], _worker["field"], index)
 
 
-def _campaign_map(fn, cfg, n, chunksize, field=None) -> list:
+def _campaign_map(fn, cfg, n, field=None) -> list:
     """[fn(cfg, field, i) for i < n] on the campaign field.
 
     Cells are realised on first touch and never change, so one field serves
@@ -239,7 +239,7 @@ def _campaign_map(fn, cfg, n, chunksize, field=None) -> list:
         return [fn(cfg, field, i) for i in range(n)]
     ctx = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(cfg["workers"], ctx, initializer=_init_worker, initargs=(fn, cfg)) as pool:
-        return list(pool.map(_run_in_worker, range(n), chunksize=chunksize))
+        return list(pool.map(_run_in_worker, range(n)))
 
 
 # engine work counts that the fk-compare report totals
@@ -303,7 +303,7 @@ def cmd_growth_curve(cfg) -> int:
     if cfg["obs"] is None:
         t = cfg["t_max"]
         cfg["obs"] = tuple(t * k / 4.0 for k in range(1, 5))
-    results = _campaign_map(_growth_worker, cfg, cfg["replicates"], chunksize=1)
+    results = _campaign_map(_growth_worker, cfg, cfg["replicates"])
     os.makedirs(cfg["out"], exist_ok=True)
     header = _header(cfg)
     curves = []
@@ -349,7 +349,8 @@ def cmd_growth_curve(cfg) -> int:
         {"replicates": cfg["replicates"], "truncated": truncated, "usable": len(curves)},
     )
     print(f"growth-curve: {len(curves)} usable replicates ({truncated} truncated) -> {agg_path}")
-    return 0
+    # the truncated replicates are the heaviest, so the survivors' mean is biased low
+    return 1 if truncated else 0
 
 
 # -- mrca-test -----------------------------------------------------------------
@@ -394,7 +395,9 @@ _FK_BLOCK = 64
 def _fk_branch_block(cfg, field, block):
     """Final population sizes (None when truncated) and work counts of one block of runs."""
     mc = ModelConstants(cfg["d"], cfg["nu"], cfg["beta"], cfg["a"])
-    sim = SimConfig(mc=mc, t_max=cfg["t_max"], obs_times=(cfg["t_max"],), particle_cap=cfg["cap"])
+    sim = SimConfig(
+        mc=mc, t_max=cfg["t_max"], obs_times=(cfg["t_max"],), drift=cfg["drift"], particle_cap=cfg["cap"]
+    )
     runs = range(block * _FK_BLOCK, min((block + 1) * _FK_BLOCK, cfg["runs"]))
     seeds = [derive_seed(cfg["seed"], "run", i) for i in runs]
     curves, _, stats = run_batch(sim, [field] * len(seeds), seeds)
@@ -404,7 +407,7 @@ def _fk_branch_block(cfg, field, block):
 
 def cmd_fk_compare(cfg) -> int:
     field = _campaign_field(cfg)
-    blocks = _campaign_map(_fk_branch_block, cfg, -(-cfg["runs"] // _FK_BLOCK), chunksize=1, field=field)
+    blocks = _campaign_map(_fk_branch_block, cfg, -(-cfg["runs"] // _FK_BLOCK), field=field)
     sizes = np.asarray([s for block, _ in blocks for s in block if s is not None], dtype=float)
     work = {key: sum(w[key] for _, w in blocks) for key in _WORK_COUNTS}
     truncated = cfg["runs"] - len(sizes)
@@ -415,7 +418,7 @@ def cmd_fk_compare(cfg) -> int:
     branch_se = float(sizes.std(ddof=1) / math.sqrt(len(sizes)))
 
     est = estimate_quenched_mass(
-        field, cfg["beta"], cfg["t_max"], cfg["dt"], cfg["n_paths"], derive_seed(cfg["seed"], "fk")
+        field, cfg["beta"], cfg["t_max"], cfg["dt"], cfg["n_paths"], derive_seed(cfg["seed"], "fk"), cfg["drift"]
     )
     combined_se = math.hypot(branch_se, est.std_error)
     diff = abs(branch_mean - est.point_estimate)
@@ -432,6 +435,7 @@ def cmd_fk_compare(cfg) -> int:
             cfg["dt"] / 2.0,
             cfg["n_paths"],
             derive_seed(cfg["seed"], "fk-half"),
+            cfg["drift"],
         )
         halving_shift = abs(est_half.point_estimate - est.point_estimate)
         halving_se = math.hypot(est.std_error, est_half.std_error)

@@ -8,21 +8,24 @@ every cell are generated on first touch from a counter-based hash of
 identical points no matter when, where or in what order it is queried, and
 particles may wander arbitrarily far without a pre-declared bounding box.
 
-Scalar queries (``is_blocked``, ``nearest_obstacle_distance``) realise only
-the cells near their query point and cache each cell's points as tuples of
-Python floats.  ``is_blocked`` keys a per-field cache of reach lists by the
-query's home cell: the list holds every centre that could lie within ``a``
-of some point of that cell, built on the cell's first query from the cells
-of its neighbourhood (which that query realises).  A warm query is then
-one dict lookup and an exact distance test on one or two centres, with no
-numpy.  Bulk queries (``is_blocked_many``, ``largest_clearing``) realise
-whole boxes through the vectorised twin of the same hash, so both paths
-see the same points; a sorted-array index (d = 1) or a k-d tree (d >= 2)
-serves the batched nearest-neighbour lookups.  The box a field keeps for
-bulk queries costs a query one comparison of its bounds while it covers
-them, and is rebuilt only when a query leaves it; then each side that must
-grow at least doubles the box's width, so a cloud of paths spreading over
-a region of width W costs O(log W) rebuilds (counted in ``bulk_rebuilds``).
+There is one hash, vectorised over arrays of cells (``seeds.cell_key_array``),
+and every realisation goes through it.  The scalar query ``is_blocked``
+realises cells in aligned tiles of ``_TILE`` cells a side: the first touch
+of a cell hashes its whole tile in one pass and caches each cell of it as a
+tuple of point tuples (Python floats).  ``is_blocked`` keys a per-field
+cache of reach lists by the query's home cell: the list holds every centre
+that could lie within ``a`` of some point of that cell, built on the cell's
+first query from the cells of its neighbourhood.  A warm query is then one
+dict lookup and an exact distance test on one or two centres, with no
+numpy.  Bulk queries (``is_blocked_many``, ``largest_clearing``) and
+``nearest_obstacle_distance`` realise whole boxes (``realize_box``), so
+every path sees the same points; a sorted-array index (d = 1) or a k-d tree
+(d >= 2) serves the batched nearest-neighbour lookups.  The box a field
+keeps for bulk queries costs a query one comparison of its bounds while it
+covers them, and is rebuilt only when a query leaves it; then each side
+that must grow at least doubles the box's width, so a cloud of paths
+spreading over a region of width W costs O(log W) rebuilds (counted in
+``bulk_rebuilds``).
 
 In d = 1 the box also carries a table of bins of width a/16 (wider on
 boxes of more than 2^20 such bins).  A bin is free when its midpoint lies
@@ -44,7 +47,6 @@ but can never disagree; there is no mutation besides cache fills.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import json
 import math
@@ -54,14 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .seeds import (
-    cell_key,
-    cell_key_array,
-    stream_u64,
-    stream_u64_array,
-    u01,
-    u01_array,
-)
+from .seeds import cell_key_array, stream_u64_array, u01_array
 
 __all__ = [
     "ObstacleField",
@@ -75,6 +70,9 @@ __all__ = [
 
 _POISSON_TAIL = 1e-17
 _MAX_POISSON_TERMS = 4096
+
+# side, in cells, of the aligned tiles in which scalar queries realise cells
+_TILE = 16
 
 # d = 1 blocking table: bin width a / _BINS_PER_RADIUS, at most _MAX_BINS bins
 _BINS_PER_RADIUS = 16
@@ -196,7 +194,8 @@ class ObstacleField:
 
     @property
     def realized_cells(self) -> dict:
-        """Cells realised so far: cell coordinate tuple -> tuple of point tuples."""
+        """Cells realised for scalar queries: cell coordinate tuple -> tuple of
+        point tuples; on a Poisson field, every cell of each tile touched."""
         return self._cells
 
     def spec_record(self) -> dict:
@@ -216,31 +215,30 @@ class ObstacleField:
     # -- cell realisation --------------------------------------------------
 
     def _cell(self, cell: tuple) -> tuple:
-        """Points of one lattice cell as float tuples, realised on first touch."""
+        """Points of one lattice cell as float tuples, realised on first touch
+        with every cell of its tile (the aligned block of ``_TILE`` cells a
+        side that holds it) in one vectorised hash pass."""
         pts = self._cells.get(cell)
         if pts is not None:
             return pts
         if self._finite:
             return ()
-        key = cell_key(self.master_seed, cell)
-        count = bisect.bisect_left(self._cdf, u01(stream_u64(key, 0)))
-        d, cs = self.d, self.cell_size
-        pts = tuple(
-            tuple((cell[q] + u01(stream_u64(key, 1 + j * d + q))) * cs for q in range(d))
-            for j in range(count)
-        )
-        self._cells[cell] = pts
-        return pts
-
-    def _cell_points(self, cell: tuple) -> np.ndarray:
-        """Points of one lattice cell as a (k, d) array."""
-        return np.asarray(self._cell(cell), dtype=float).reshape(-1, self.d)
+        origin = [c - c % _TILE for c in cell]
+        cells = np.asarray(origin) + np.indices((_TILE,) * self.d).reshape(self.d, -1).T
+        pts, owner = _hashed_points(cell_key_array(self.master_seed, cells), cells, self._cdf, self.cell_size)
+        points = list(map(tuple, pts.tolist()))
+        ends = np.cumsum(np.bincount(owner, minlength=len(cells))).tolist()
+        start = 0
+        for c, end in zip(map(tuple, cells.tolist()), ends):
+            self._cells[c] = tuple(points[start:end])
+            start = end
+        return self._cells[cell]
 
     def realize_box(self, lo, hi) -> np.ndarray:
         """All obstacle centres x with lo <= x < hi (component-wise).
 
-        Bulk-vectorised; produces exactly the same points as scalar cell
-        realisation would.
+        Realised through the same vectorised hash as :meth:`_cell`, so
+        both give the same points.
         """
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -311,29 +309,17 @@ class ObstacleField:
     def nearest_obstacle_distance(self, x, search_cap: float) -> float:
         """Distance from x to the nearest obstacle centre, if <= search_cap.
 
-        Returns ``math.inf`` when no centre lies within the cap.  Expanding
-        ring search over cell shells; cells at Chebyshev shell m can only
-        hold points at distance >= (m-1) * cell_size, which bounds the scan.
+        Returns ``math.inf`` when no centre lies within the cap.  An exact
+        minimum over the centres of the closed box of half-width
+        ``search_cap`` around x, which holds every centre within the cap.
         """
         if not search_cap > 0:
             raise ValueError(f"search_cap must be positive, got {search_cap}")
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        cs = self.cell_size
-        c0 = tuple(int(math.floor(v / cs)) for v in x)
-        best = math.inf
-        m = 0
-        while True:
-            for cell in _chebyshev_shell(c0, m):
-                pts = self._cell_points(cell)
-                if len(pts):
-                    dmin = math.sqrt(float(np.min(np.sum((pts - x) ** 2, axis=1))))
-                    if dmin < best:
-                        best = dmin
-            if best <= m * cs:
-                break
-            if m * cs > search_cap:
-                break
-            m += 1
+        pts = self.realize_box(x - search_cap, np.nextafter(x + search_cap, np.inf))
+        if not len(pts):
+            return math.inf
+        best = math.sqrt(float(np.min(np.sum((pts - x) ** 2, axis=1))))
         return best if best <= search_cap else math.inf
 
     # -- bulk queries --------------------------------------------------------
@@ -645,18 +631,6 @@ def _line_cache(lo: np.ndarray, hi: np.ndarray, line: np.ndarray, a, counts=None
     state[:, n - k :][x1 - (x0 + (np.arange(n - k, n) + 0.5) * h) < near] = _MIXED
     cache.inv_h, cache.n, cache.state = 1.0 / h, n, state.reshape(-1)
     return cache
-
-
-def _chebyshev_shell(c0: tuple, m: int):
-    """Cells at Chebyshev distance exactly m from cell c0."""
-    d = len(c0)
-    if m == 0:
-        yield c0
-        return
-    rng = range(-m, m + 1)
-    for offset in itertools.product(rng, repeat=d):
-        if max(abs(o) for o in offset) == m:
-            yield tuple(c0[q] + offset[q] for q in range(d))
 
 
 def largest_clearing(field: ObstacleField, ell: float, resolution: float) -> Clearing:

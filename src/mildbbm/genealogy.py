@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .environment import write_header
 from .seeds import derive_seed
 
 __all__ = [
@@ -291,9 +292,7 @@ def martingale_limit_samples(beta, t, runs, seed) -> np.ndarray:
 def write_cdf_table(path, law: MrcaLaw, us, header: str | None = None):
     """CSV table ``u,F(u)`` of the MRCA law for plotting."""
     with open(path, "w") as fh:
-        if header:
-            for line in header.splitlines():
-                fh.write(f"# {line}\n")
+        write_header(fh, header)
         fh.write("u,F(u)\n")
         for u in us:
             fh.write(f"{u:.12g},{mrca_cdf(law, u):.12g}\n")
@@ -302,9 +301,7 @@ def write_cdf_table(path, law: MrcaLaw, us, header: str | None = None):
 def write_pmf_table(path, probs: dict, header: str | None = None):
     """CSV table ``i,p(i)`` for an integer-indexed pmf."""
     with open(path, "w") as fh:
-        if header:
-            for line in header.splitlines():
-                fh.write(f"# {line}\n")
+        write_header(fh, header)
         fh.write("i,p(i)\n")
         for i in sorted(probs):
             fh.write(f"{i},{probs[i]:.12g}\n")

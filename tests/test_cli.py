@@ -57,6 +57,7 @@ class TestHeaders:
         from mildbbm.branching import GenealogyLog
         from mildbbm.environment import save_points
         from mildbbm.feynman_kac import FkEstimate, write_estimates_csv
+        from mildbbm.genealogy import MrcaLaw, write_cdf_table, write_pmf_table
 
         header = "spec line one\nspec line two"
         monkeypatch.setattr(cli, "_header", lambda cfg: header)
@@ -68,8 +69,11 @@ class TestHeaders:
         write_estimates_csv(tmp_path / "fk.csv", [est], header=header)
         save_points(tmp_path / "pts.txt", [[0.0]], header=header)
         GenealogyLog().to_jsonl(tmp_path / "log.jsonl", header=header)
+        write_cdf_table(tmp_path / "cdf.csv", MrcaLaw(t=1.0, beta=1.0), [0.25, 0.5], header=header)
+        write_pmf_table(tmp_path / "pmf.csv", {1: 0.5, 2: 0.5}, header=header)
         files = [out / "aggregated.csv", out / "predicted.csv", out / "replicate_0000.csv",
-                 tmp_path / "fk.csv", tmp_path / "pts.txt", tmp_path / "log.jsonl"]
+                 tmp_path / "fk.csv", tmp_path / "pts.txt", tmp_path / "log.jsonl",
+                 tmp_path / "cdf.csv", tmp_path / "pmf.csv"]
         for path in files:
             lines = read(path).splitlines()
             assert lines[:2] == ["# spec line one", "# spec line two"], path
@@ -119,6 +123,23 @@ class TestGrowthCurve:
         )
         assert rc == 3
 
+    def test_some_truncated_exits_1(self, tmp_path):
+        # a cap of 200 cuts 5 of the 6 replicates: the survivor's curve is
+        # written, but its mean alone is biased low
+        out = tmp_path / "t"
+        rc = main(
+            [
+                "growth-curve",
+                "--d", "1", "--nu", "0.1", "--a", "0.1", "--beta", "2",
+                "--t-max", "4", "--obs", "4", "--cap", "200",
+                "--replicates", "6", "--seed", "5", "--out", str(out),
+            ]
+        )
+        summary = json.loads(read(out / "growth_summary.json"))
+        assert 0 < summary["truncated"] < 6 and summary["usable"] == 6 - summary["truncated"]
+        assert (out / "aggregated.csv").exists()
+        assert rc == 1
+
 
 class TestGates:
     def test_mrca_gate_passes_at_scale(self, tmp_path):
@@ -167,6 +188,19 @@ class TestGates:
         assert rep["diff"] <= rep["se_gate"] * rep["combined_se"]
         assert not rep["pass"]
         assert rc == 1
+
+    def test_fk_compare_applies_the_drift(self, tmp_path):
+        # the drift moves both the branching runs and the FK paths, and the
+        # two sides still agree
+        base = ["fk-compare", "--t-max", "2", "--runs", "64", "--n-paths", "200", "--seed", "3"]
+        reps = {}
+        for drift in ("0", "1.5"):
+            out = tmp_path / drift
+            rc = main(base + ["--drift", drift, "--out", str(out)])
+            reps[drift] = json.loads(read(out / "fk_report.json"))
+            assert rc == 0 and reps[drift]["pass"], drift
+        for key in ("branch_mean", "fk_estimate", "events"):
+            assert reps["1.5"][key] != reps["0"][key], key
 
     def test_fk_compare_runs_do_not_depend_on_blocks_or_workers(self, tmp_path, monkeypatch):
         from mildbbm import cli

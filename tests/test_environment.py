@@ -9,6 +9,7 @@ import pytest
 from scipy import stats as st
 
 from mildbbm.environment import (
+    _TILE,
     Clearing,
     ObstacleField,
     StackedTable,
@@ -48,13 +49,38 @@ def neighbourhoods(queries, cs, r):
     return cells
 
 
+def tiles(cells):
+    """Every cell of the aligned tiles that hold ``cells``."""
+    out = set()
+    for origin in {tuple(c - c % _TILE for c in cell) for cell in cells}:
+        out.update(itertools.product(*[range(o, o + _TILE) for o in origin]))
+    return out
+
+
+def box_points(field, cell):
+    """The centres ``realize_box`` gives over the box of ``cell``, as tuples."""
+    cs = field.cell_size
+    pts = field.realize_box([c * cs for c in cell], [(c + 1) * cs for c in cell])
+    return tuple(map(tuple, pts.tolist()))
+
+
+def tile_edge_cells(d):
+    """Cells on both sides of tile edges, at negative coordinates too."""
+    line = [-2 * _TILE - 1, -2 * _TILE, -_TILE - 1, -_TILE, -1, 0, 3, _TILE - 1, _TILE, 5 * _TILE + 7]
+    rng = random.Random(d)
+    mixed = [tuple(rng.choice(line) for _ in range(d)) for _ in range(10)] if d > 1 else []
+    return [(v,) * d for v in line] + mixed
+
+
 class TestDeterminism:
     def test_same_cell_twice_identical(self):
+        # a second field, queried in the reverse order, regenerates each cell
+        cells = [(3,), (-5,), (17,), (-40,)]
         f = ObstacleField(1, 1.0, 0.25, 7, 1.0)
-        first = f._cell_points((3,)).copy()
-        f._cells.clear()
-        again = f._cell_points((3,))
-        assert np.array_equal(first, again)
+        first = [f._cell(c) for c in cells]
+        again = ObstacleField(1, 1.0, 0.25, 7, 1.0)
+        assert first == [again._cell(c) for c in cells[::-1]][::-1]
+        assert any(first)
 
     def test_query_order_independence(self):
         fa = ObstacleField(2, 0.8, 0.3, 123, 1.0)
@@ -66,19 +92,30 @@ class TestDeterminism:
         rng.shuffle(shuffled)
         ans_b = {q: fb.is_blocked(q) for q in shuffled}
         assert ans_a == [ans_b[q] for q in queries]
-        # a query realises the cells within r = 1 of its home cell, whatever the order
-        assert set(fa.realized_cells) == set(fb.realized_cells) == neighbourhoods(queries, fa.cell_size, 1)
+        # a query realises the tiles that meet the cells within r = 1 of its
+        # home cell, whatever the order
+        assert set(fa.realized_cells) == set(fb.realized_cells) == tiles(neighbourhoods(queries, fa.cell_size, 1))
 
     def test_scalar_matches_bulk(self):
-        # the vectorised realisation path must be bit-identical to the
-        # scalar one
-        fa = ObstacleField(1, 1.3, 0.2, 2024, 0.7)
-        fb = ObstacleField(1, 1.3, 0.2, 2024, 0.7)
-        bulk = fa.realize_box([-7.0], [7.0])
-        cells = range(-10, 10)
-        scalar = np.concatenate([fb._cell_points((c,)) for c in cells])
-        scalar = scalar[(scalar[:, 0] >= -7.0) & (scalar[:, 0] < 7.0)]
-        assert np.array_equal(np.sort(bulk[:, 0]), np.sort(scalar[:, 0]))
+        # a scalar query's cell, realised with its tile, holds exactly the
+        # points realize_box gives over the cell's box, in the same order:
+        # on a cold field, and after the neighbouring tiles are realised
+        for d, nu in ((1, 2.0), (2, 3.0), (3, 4.0)):
+            cells = tile_edge_cells(d)
+            bulk = ObstacleField(d, nu, 0.2, 2024, 0.7)
+            want = [box_points(bulk, c) for c in cells]
+            assert sum(map(len, want)) > len(cells) // 2 and not all(want), d
+            for cell, expected in zip(cells, want):
+                cold = ObstacleField(d, nu, 0.2, 2024, 0.7)
+                assert cold._cell(cell) == expected, cell
+                warm = ObstacleField(d, nu, 0.2, 2024, 0.7)
+                neighbours = [
+                    tuple(c + step * (p == q) for p, c in enumerate(cell)) for q in range(d) for step in (-_TILE, _TILE)
+                ]
+                for c in neighbours:
+                    warm._cell(c)
+                assert warm._cell(cell) == expected, cell
+                assert set(warm.realized_cells) == tiles([cell] + neighbours)
 
     def test_different_seeds_differ(self):
         f1 = ObstacleField(1, 1.0, 0.2, 1, 1.0)
@@ -95,7 +132,7 @@ class TestPoissonStatistics:
 
     def test_cell_counts_chisquare(self):
         f = ObstacleField(1, 1.0, 0.2, 777, 1.0)
-        counts = np.asarray([len(f._cell_points((c,))) for c in range(4000)])
+        counts = np.asarray([len(f._cell((c,))) for c in range(4000)])
         kmax = 5
         obs = np.bincount(np.minimum(counts, kmax), minlength=kmax + 1)
         pmf = np.asarray([math.exp(-1) / math.factorial(k) for k in range(kmax)])
@@ -515,7 +552,7 @@ class TestReachLists:
             f = ObstacleField(2, nu, a, 97, cs)
             for x in order:
                 f.is_blocked(x)
-            assert set(f.realized_cells) == neighbourhoods(queries, cs, r)
+            assert set(f.realized_cells) == tiles(neighbourhoods(queries, cs, r))
 
 
 class TestNearestDistance:
