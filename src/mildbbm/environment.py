@@ -10,9 +10,10 @@ particles may wander arbitrarily far without a pre-declared bounding box.
 
 There is one hash, vectorised over arrays of cells (``seeds.cell_key_array``),
 and every realisation goes through it.  The scalar query ``is_blocked``
-realises cells in aligned tiles of ``_TILE`` cells a side: the first touch
-of a cell hashes its whole tile in one pass and caches each cell of it as a
-tuple of point tuples (Python floats).  ``is_blocked`` keys a per-field
+realises cells in aligned tiles (16 cells a side in d = 2, 5 in d = 3, 2 in
+d = 4 and 5, one cell from d = 6 on): the first touch of a cell hashes its
+whole tile, with every other missing tile of the same neighbourhood, in one
+pass and caches each cell as a tuple of point tuples (Python floats).  ``is_blocked`` keys a per-field
 cache of reach lists by the query's home cell: the list holds every centre
 that could lie within ``a`` of some point of that cell, built on the cell's
 first query from the cells of its neighbourhood.  A warm query is then one
@@ -71,14 +72,26 @@ __all__ = [
 _POISSON_TAIL = 1e-17
 _MAX_POISSON_TERMS = 4096
 
-# side, in cells, of the aligned tiles in which scalar queries realise cells
-_TILE = 16
+# scalar queries realise cells in aligned tiles of side s, the largest with
+# (2s)^d <= _QUERY_TILE_CELLS (16 in d = 2): a query's 3^d neighbourhood
+# meets at most two tiles per axis, so its first touch realises at most
+# max(_QUERY_TILE_CELLS, 3^d) cells
+_QUERY_TILE_CELLS = 1024
 
 # d = 1 blocking table: bin width a / _BINS_PER_RADIUS, at most _MAX_BINS bins
 _BINS_PER_RADIUS = 16
 _MAX_BINS = 1 << 20
 # bin states, ordered so that a bin takes the largest mark any centre gives it
 _FREE, _MIXED, _BLOCKED = 0, 1, 2
+
+
+def _tile_side(d: int) -> int:
+    """Side, in cells, of a d-dimensional tile: the largest s with
+    (2s)^d <= _QUERY_TILE_CELLS, and 1 when there is none."""
+    s = 1
+    while (2 * s + 2) ** d <= _QUERY_TILE_CELLS:
+        s += 1
+    return s
 
 
 def _poisson_cdf_table(lam: float) -> list:
@@ -216,15 +229,23 @@ class ObstacleField:
 
     def _cell(self, cell: tuple) -> tuple:
         """Points of one lattice cell as float tuples, realised on first touch
-        with every cell of its tile (the aligned block of ``_TILE`` cells a
-        side that holds it) in one vectorised hash pass."""
+        with every cell of its tile (:meth:`_realise_tiles`)."""
         pts = self._cells.get(cell)
-        if pts is not None:
-            return pts
+        if pts is None:
+            self._realise_tiles([cell])
+            pts = self._cells.get(cell, ())
+        return pts
+
+    def _realise_tiles(self, cells: list):
+        """Realise every cell of the tiles that hold ``cells`` (aligned blocks of
+        ``_tile_side(d)`` cells a side) in one vectorised hash pass, and cache
+        each as a tuple of point tuples.  A finite field has nothing to realise."""
         if self._finite:
-            return ()
-        origin = [c - c % _TILE for c in cell]
-        cells = np.asarray(origin) + np.indices((_TILE,) * self.d).reshape(self.d, -1).T
+            return
+        d = self.d
+        s = _tile_side(d)
+        origins = np.array(sorted({tuple([c - c % s for c in cell]) for cell in cells}), dtype=np.int64)
+        cells = (origins[:, None, :] + np.indices((s,) * d).reshape(d, -1).T).reshape(-1, d)
         pts, owner = _hashed_points(cell_key_array(self.master_seed, cells), cells, self._cdf, self.cell_size)
         points = list(map(tuple, pts.tolist()))
         ends = np.cumsum(np.bincount(owner, minlength=len(cells))).tolist()
@@ -232,7 +253,6 @@ class ObstacleField:
         for c, end in zip(map(tuple, cells.tolist()), ends):
             self._cells[c] = tuple(points[start:end])
             start = end
-        return self._cells[cell]
 
     def realize_box(self, lo, hi) -> np.ndarray:
         """All obstacle centres x with lo <= x < hi (component-wise).
@@ -297,11 +317,13 @@ class ObstacleField:
         r = math.floor((a + slack) / cs) + 1
         lo = [c * cs - a - slack for c in home]
         hi = [(c + 1) * cs + a + slack for c in home]
+        cells = list(itertools.product(*[range(c - r, c + r + 1) for c in home]))
+        known = self._cells
+        missing = [c for c in cells if c not in known]
+        if missing:
+            self._realise_tiles(missing)
         near = tuple(
-            p
-            for cell in itertools.product(*[range(c - r, c + r + 1) for c in home])
-            for p in self._cell(cell)
-            if all(l <= v <= h for l, v, h in zip(lo, p, hi))
+            p for cell in cells for p in known.get(cell, ()) if all(l <= v <= h for l, v, h in zip(lo, p, hi))
         )
         self._reach[home] = near
         return near

@@ -67,7 +67,8 @@ def cell_key_array(seed, cells: np.ndarray) -> np.ndarray:
     if np.ndim(seed):
         k = np.asarray(seed, dtype=np.uint64) ^ np.uint64(_SEED_SALT)
     else:
-        k = np.full(cells.shape[0], (seed ^ _SEED_SALT) & _MASK64, dtype=np.uint64)
+        # one salted seed, finalised once and broadcast over the cells
+        k = np.full(1, (seed ^ _SEED_SALT) & _MASK64, dtype=np.uint64)
     k = _finalize_array(k)
     for q in range(cells.shape[1]):
         c = cells[:, q].astype(np.int64).view(np.uint64)

@@ -9,10 +9,11 @@ import pytest
 from scipy import stats as st
 
 from mildbbm.environment import (
-    _TILE,
+    _QUERY_TILE_CELLS,
     Clearing,
     ObstacleField,
     StackedTable,
+    _tile_side,
     largest_clearing,
     load_points,
     save_points,
@@ -49,11 +50,12 @@ def neighbourhoods(queries, cs, r):
     return cells
 
 
-def tiles(cells):
-    """Every cell of the aligned tiles that hold ``cells``."""
+def tiles(cells, d=2):
+    """Every cell of the aligned d-dimensional tiles that hold ``cells``."""
+    s = _tile_side(d)
     out = set()
-    for origin in {tuple(c - c % _TILE for c in cell) for cell in cells}:
-        out.update(itertools.product(*[range(o, o + _TILE) for o in origin]))
+    for origin in {tuple(c - c % s for c in cell) for cell in cells}:
+        out.update(itertools.product(*[range(o, o + s) for o in origin]))
     return out
 
 
@@ -66,7 +68,8 @@ def box_points(field, cell):
 
 def tile_edge_cells(d):
     """Cells on both sides of tile edges, at negative coordinates too."""
-    line = [-2 * _TILE - 1, -2 * _TILE, -_TILE - 1, -_TILE, -1, 0, 3, _TILE - 1, _TILE, 5 * _TILE + 7]
+    s = _tile_side(d)
+    line = [-2 * s - 1, -2 * s, -s - 1, -s, -1, 0, 3, s - 1, s, 5 * s + 7]
     rng = random.Random(d)
     mixed = [tuple(rng.choice(line) for _ in range(d)) for _ in range(10)] if d > 1 else []
     return [(v,) * d for v in line] + mixed
@@ -109,13 +112,12 @@ class TestDeterminism:
                 cold = ObstacleField(d, nu, 0.2, 2024, 0.7)
                 assert cold._cell(cell) == expected, cell
                 warm = ObstacleField(d, nu, 0.2, 2024, 0.7)
-                neighbours = [
-                    tuple(c + step * (p == q) for p, c in enumerate(cell)) for q in range(d) for step in (-_TILE, _TILE)
-                ]
+                s = _tile_side(d)
+                neighbours = [tuple(c + step * (p == q) for p, c in enumerate(cell)) for q in range(d) for step in (-s, s)]
                 for c in neighbours:
                     warm._cell(c)
                 assert warm._cell(cell) == expected, cell
-                assert set(warm.realized_cells) == tiles([cell] + neighbours)
+                assert set(warm.realized_cells) == tiles([cell] + neighbours, d)
 
     def test_different_seeds_differ(self):
         f1 = ObstacleField(1, 1.0, 0.2, 1, 1.0)
@@ -543,6 +545,19 @@ class TestReachLists:
         empty = ObstacleField.from_points([], a=0.7, d=3)
         assert not any(empty.is_blocked(x) for x in rng.uniform(-5.0, 5.0, (200, 3)).tolist())
         assert empty.realized_cells == {}
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 9])
+    def test_a_first_query_realises_a_bounded_number_of_cells(self, d):
+        # the cells -1..1 around x straddle a tile edge on every axis, so the
+        # first query meets 2^d tiles (from d = 6 on a tile is one cell: just
+        # the 3^d neighbourhood)
+        x = (0.5,) * d
+        f = ObstacleField(d, 0.5, 0.4, 3, 1.0)
+        assert f.is_blocked(x) == brute_blocked(f, x)
+        assert set(f.realized_cells) == tiles(neighbourhoods([x], 1.0, 1), d)
+        assert len(f.realized_cells) <= max(_QUERY_TILE_CELLS, 3**d)
+        s = _tile_side(d)
+        assert (s == 1 or (2 * s) ** d <= _QUERY_TILE_CELLS) and (2 * s + 2) ** d > _QUERY_TILE_CELLS
 
     @pytest.mark.parametrize("nu,a,cs,r", [(0.8, 0.3, 1.0, 1), (0.5, 1.0, 1.0, 2), (0.3, 1.7, 0.6, 3)])
     def test_realised_cells_are_the_neighbourhoods_of_home_cells(self, nu, a, cs, r):
