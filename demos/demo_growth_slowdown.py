@@ -19,7 +19,6 @@ from mildbbm import (
     derive_seed,
     predicted_log_mass,
     run_bbm,
-    run_free_bbm,
 )
 
 d, nu, a, beta = 1, 0.8, 0.3, 1.0
@@ -32,7 +31,7 @@ free_counts = np.zeros((replicates, len(obs)))
 obst_counts = np.zeros((replicates, len(obs)))
 for i in range(replicates):
     cfg = SimConfig(mc=mc, t_max=obs[-1], obs_times=obs, seed=derive_seed(1, "free", i))
-    free_counts[i] = run_free_bbm(cfg)[0].counts
+    free_counts[i] = run_bbm(cfg, None)[0].counts
     cfg = SimConfig(mc=mc, t_max=obs[-1], obs_times=obs, seed=derive_seed(1, "obst", i))
     obst_counts[i] = run_bbm(cfg, field)[0].counts
 

@@ -45,7 +45,6 @@ from .branching import (
     population_at,
     run_batch,
     run_bbm,
-    run_free_bbm,
     trim_coupling,
 )
 from .environment import (

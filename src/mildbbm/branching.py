@@ -40,10 +40,12 @@ other runs of its batch, or on their truncation.
 Within a campaign, run seeds are derived as hash(master seed, run index).
 
 Held rows stay bounded by one heavy run rather than by the sum over runs:
-while a batch holds more than ``_ROW_BUDGET`` rows of two or more runs, its
-heaviest run is taken out with its state and finished alone.  The
-particle cap is checked per run; a run over it is dropped from the batch,
-marked truncated, and the others carry on.
+when a batch holds more than ``_ROW_BUDGET`` rows of two or more runs, its
+heaviest runs, as many as the budget needs, are taken out with their state
+in one pass and finished alone, heaviest first.  The particle cap is
+checked per run; a run over it is dropped from the batch, marked
+truncated, and the others carry on.  :func:`run_bbm` is the batch of one
+run that keeps its genealogy log.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ __all__ = [
     "GrowthCurve",
     "ParticleCapExceeded",
     "run_bbm",
-    "run_free_bbm",
     "run_batch",
     "trim_coupling",
     "local_mass",
@@ -588,31 +589,45 @@ class _Batch:
         the end of a round in epoch k.  Returns the runs still owned.
 
         A run holding more than ``particle_cap`` rows is dropped and marked
-        truncated.  While the batch holds more than ``_ROW_BUDGET`` rows of
-        two or more runs, its heaviest run is taken out with its state and
-        finished alone.  A round at most doubles the rows, so the rows held
-        at once stay within twice the budget plus those of the run being
-        finished.
+        truncated.  Then, while more than ``_ROW_BUDGET`` rows of two or
+        more runs would stay, the heaviest runs (ties to the lower index)
+        are taken out with their state, all in one pass, and finished alone
+        one after another, heaviest first.  A round at most doubles the
+        rows, so the rows held at once stay within twice the budget plus
+        those of the run being finished.
         """
         cap, n = self.config.particle_cap, len(self.seen)
-        if len(rows["run"]) > cap:
-            over = np.flatnonzero(np.bincount(rows["run"], minlength=n) > cap)
-            if over.size:
-                self.truncated[over] = True
-                self.seen[over] = k
-                _drop(rows, np.flatnonzero(np.isin(rows["run"], over)))
-                owned = np.setdiff1d(np.arange(n)[owned], over)
-        while len(rows["run"]) > _ROW_BUDGET:
-            size = np.bincount(rows["run"], minlength=n)
-            if np.count_nonzero(size) < 2:
+        size = np.bincount(rows["run"], minlength=n)
+        over = np.flatnonzero(size > cap)
+        self.truncated[over] = True
+        self.seen[over] = k
+        size[over] = 0
+        # the heaviest runs, ties to the lower index, until the rest fit the
+        # budget; one run with rows always stays
+        heavy, left = [], int(size.sum())
+        for run in np.argsort(-size, kind="stable")[: np.count_nonzero(size) - 1].tolist():
+            if left <= _ROW_BUDGET:
                 break
-            heavy = int(size.argmax())
-            mine = np.flatnonzero(rows["run"] == heavy)
-            alone = {key: c[mine] for key, c in rows.items()}
-            _drop(rows, mine)
-            owned = np.arange(n)[owned]
-            owned = owned[owned != heavy]
-            self.advance(alone, np.asarray([heavy]), k)
+            heavy.append(run)
+            left -= int(size[run])
+        if over.size == 0 and not heavy:
+            return owned
+        heavy = np.asarray(heavy, dtype=np.int64)
+        # each row's place in heavy, heavy.size for a truncated run, -1 to stay
+        place = np.full(n, -1)
+        place[over] = heavy.size
+        place[heavy] = np.arange(heavy.size)
+        at = place[rows["run"]]
+        gone = np.flatnonzero(at >= 0)
+        # the rows set aside, run by run in the order of heavy, each run's in row order
+        aside = gone[np.argsort(at[gone], kind="stable")][: size[heavy].sum()]
+        alone = {key: c[aside] for key, c in rows.items()}
+        _drop(rows, gone)
+        owned = np.setdiff1d(np.arange(n)[owned], np.concatenate([over, heavy]))
+        lo = 0
+        for run, m in zip(heavy.tolist(), size[heavy].tolist()):
+            self.advance({key: c[lo : lo + m] for key, c in alone.items()}, np.asarray([run]), k)
+            lo += m
         return owned
 
     def curves(self):
@@ -668,35 +683,19 @@ def run_batch(config: SimConfig, fields, seeds, *, keep_log=False, focus=None, p
     return batch.curves(), batch.log, stats
 
 
-def _simulate(config, field=None, keep_log=True, focus=None, prune_tol=0.0):
-    """One run, a batch of one.  Returns (GrowthCurve, GenealogyLog, stats dict).
+def run_bbm(config: SimConfig, field):
+    """Simulate one run, a batch of one; returns (GrowthCurve, GenealogyLog).
 
-    ``field=None`` runs the free process.  Raises
+    The run branches among the obstacles of ``field``, or freely (every
+    candidate accepted) when ``field`` is None, and draws from the
+    Generator seeded by ``config.seed``.  Raises
     :class:`ParticleCapExceeded` (carrying partial results) if the
     population outgrows ``config.particle_cap``.
     """
-    (curve,), log, stats = run_batch(config, [field], [config.seed], keep_log=keep_log, focus=focus, prune_tol=prune_tol)
+    (curve,), log, stats = run_batch(config, [field], [config.seed], keep_log=True)
     if stats["truncated"][0]:
         t = config.obs_times[len(curve.times)]
         raise ParticleCapExceeded(f"particle cap {config.particle_cap} exceeded before t={t:.6g}", curve, log)
-    out = {key: stats[key] for key in ("events", "rejected", "rounds")}
-    out.update(pruned=int(stats["pruned"][0]), leak_bound=float(stats["leak_bound"][0]))
-    return curve, log, out
-
-
-def run_bbm(config: SimConfig, field: ObstacleField):
-    """Simulate one run among obstacles; returns (GrowthCurve, GenealogyLog).
-
-    Raises :class:`ParticleCapExceeded` (carrying partial results) if the
-    population outgrows ``config.particle_cap``.
-    """
-    curve, log, _ = _simulate(config, field=field)
-    return curve, log
-
-
-def run_free_bbm(config: SimConfig):
-    """Simulate one obstacle-free run (every candidate accepted)."""
-    curve, log, _ = _simulate(config)
     return curve, log
 
 

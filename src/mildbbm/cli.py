@@ -13,6 +13,11 @@ dichotomy       drifted local growth/extinction experiment, labels checked
 clearing-stats  largest grid clearing versus the predicted clearing radius
                 across seeds (fraction gate)
 
+growth-curve and fk-compare step their runs in batches of 64 run indices
+(``run_batch``), one batch per task; run i keeps its seed
+hash(master seed, "run", i), so outputs depend neither on the batches nor
+on the worker count.
+
 Configuration comes from an optional JSON file (--config) overridden by
 flags; statistical gate levels live in the config under "gates" and are
 never hard-coded.  The environment variable MILDBBM_SEED overrides the
@@ -51,11 +56,10 @@ import numpy as np
 from .analysis import ModelConstants, clearing_radius, predicted_log_mass
 from .branching import (
     Ball,
-    ParticleCapExceeded,
     SimConfig,
     dichotomy_experiment,
     run_batch,
-    run_bbm,
+    run_bbm,  # noqa: F401  not called here; perfbench's tracer test reads cli.run_bbm
 )
 from .environment import ObstacleField, largest_clearing, save_points, write_header
 from .feynman_kac import estimate_quenched_mass, write_estimates_csv
@@ -215,35 +219,54 @@ def _campaign_field(cfg) -> ObstacleField:
     return ObstacleField(cfg["d"], cfg["nu"], cfg["a"], cfg["seed"], cfg["cell_size"])
 
 
+# runs stepped as one batch, one batch per task, in growth-curve and fk-compare
+_BLOCK = 64
+# engine work counts that the growth-curve and fk-compare reports total
+_WORK_COUNTS = ("events", "rejected", "rounds")
+
+
+def _run_block(sim, cfg, field, runs):
+    """Curves (None for a run that hit the particle cap) and work counts of
+    the campaign runs ``runs`` of ``sim``, stepped as one batch."""
+    seeds = [derive_seed(cfg["seed"], "run", i) for i in runs]
+    curves, _, stats = run_batch(sim, [field] * len(seeds), seeds)
+    return [None if cut else c for c, cut in zip(curves, stats["truncated"])], {key: stats[key] for key in _WORK_COUNTS}
+
+
 # state of one pool worker process, set once by its initializer
 _worker = {}
 
 
-def _init_worker(fn, cfg):
-    _worker.update(fn=fn, cfg=cfg, field=_campaign_field(cfg))
+def _init_worker(sim, cfg):
+    _worker.update(sim=sim, cfg=cfg, field=_campaign_field(cfg))
 
 
-def _run_in_worker(index):
-    return _worker["fn"](_worker["cfg"], _worker["field"], index)
+def _run_in_worker(runs):
+    return _run_block(_worker["sim"], _worker["cfg"], _worker["field"], runs)
 
 
-def _campaign_map(fn, cfg, n, field=None) -> list:
-    """[fn(cfg, field, i) for i < n] on the campaign field.
+def _replicates(cfg, sim, n, field=None):
+    """Curves of the campaign's runs 0 .. n-1 of ``sim`` (None where
+    truncated) and their work counts summed.
 
-    Cells are realised on first touch and never change, so one field serves
-    every run of a process: the caller's ``field`` (or a new one) in
-    process, one per worker process when ``cfg["workers"] > 1``.
+    The runs go in blocks of ``_BLOCK``, one :func:`_run_block` task each.
+    Run i draws from seed hash(master seed, "run", i), so the results
+    depend neither on the blocks nor on the workers.  Cells are realised on
+    first touch and never change, so one field serves every run of a
+    process: the caller's ``field`` (or a new one) in process, one per
+    worker process when ``cfg["workers"] > 1``.
     """
+    blocks = [range(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
     if cfg["workers"] == 1:
         field = field if field is not None else _campaign_field(cfg)
-        return [fn(cfg, field, i) for i in range(n)]
-    ctx = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(cfg["workers"], ctx, initializer=_init_worker, initargs=(fn, cfg)) as pool:
-        return list(pool.map(_run_in_worker, range(n)))
-
-
-# engine work counts that the fk-compare report totals
-_WORK_COUNTS = ("events", "rejected", "rounds")
+        done = [_run_block(sim, cfg, field, runs) for runs in blocks]
+    else:
+        ctx = multiprocessing.get_context("spawn")
+        workers = min(cfg["workers"], len(blocks))
+        with ProcessPoolExecutor(workers, ctx, initializer=_init_worker, initargs=(sim, cfg)) as pool:
+            done = list(pool.map(_run_in_worker, blocks))
+    work = {key: sum(w[key] for _, w in done) for key in _WORK_COUNTS}
+    return [c for curves, _ in done for c in curves], work
 
 
 def _fmt(x) -> str:
@@ -281,7 +304,10 @@ def cmd_gen_env(cfg) -> int:
 # -- growth-curve --------------------------------------------------------------
 
 
-def _growth_worker(cfg, field, index):
+def cmd_growth_curve(cfg) -> int:
+    if cfg["obs"] is None:
+        t = cfg["t_max"]
+        cfg["obs"] = tuple(t * k / 4.0 for k in range(1, 5))
     mc = ModelConstants(cfg["d"], cfg["nu"], cfg["beta"], cfg["a"])
     sim = SimConfig(
         mc=mc,
@@ -289,21 +315,9 @@ def _growth_worker(cfg, field, index):
         obs_times=cfg["obs"],
         drift=cfg["drift"],
         particle_cap=cfg["cap"],
-        seed=derive_seed(cfg["seed"], "run", index),
         balls=(Ball("origin_unit", (0.0,) * cfg["d"], 1.0),),
     )
-    try:
-        curve, _ = run_bbm(sim, field)
-    except ParticleCapExceeded:
-        return None
-    return curve
-
-
-def cmd_growth_curve(cfg) -> int:
-    if cfg["obs"] is None:
-        t = cfg["t_max"]
-        cfg["obs"] = tuple(t * k / 4.0 for k in range(1, 5))
-    results = _campaign_map(_growth_worker, cfg, cfg["replicates"])
+    results, work = _replicates(cfg, sim, cfg["replicates"])
     os.makedirs(cfg["out"], exist_ok=True)
     header = _header(cfg)
     curves = []
@@ -318,7 +332,6 @@ def cmd_growth_curve(cfg) -> int:
         print("growth-curve: every replicate hit the particle cap; campaign invalid", file=sys.stderr)
         return 3
 
-    mc = ModelConstants(cfg["d"], cfg["nu"], cfg["beta"], cfg["a"])
     ts = np.asarray(cfg["obs"])
     counts = np.stack([c.counts for c in curves])
     rates = np.stack([c.rates for c in curves])
@@ -346,7 +359,7 @@ def cmd_growth_curve(cfg) -> int:
     _write_report(
         cfg,
         "growth_summary.json",
-        {"replicates": cfg["replicates"], "truncated": truncated, "usable": len(curves)},
+        {"replicates": cfg["replicates"], "truncated": truncated, "usable": len(curves), **work},
     )
     print(f"growth-curve: {len(curves)} usable replicates ({truncated} truncated) -> {agg_path}")
     # the truncated replicates are the heaviest, so the survivors' mean is biased low
@@ -388,28 +401,14 @@ def cmd_mrca_test(cfg) -> int:
 # -- fk-compare ----------------------------------------------------------------
 
 
-# branching runs stepped as one batch in fk-compare
-_FK_BLOCK = 64
-
-
-def _fk_branch_block(cfg, field, block):
-    """Final population sizes (None when truncated) and work counts of one block of runs."""
+def cmd_fk_compare(cfg) -> int:
+    field = _campaign_field(cfg)
     mc = ModelConstants(cfg["d"], cfg["nu"], cfg["beta"], cfg["a"])
     sim = SimConfig(
         mc=mc, t_max=cfg["t_max"], obs_times=(cfg["t_max"],), drift=cfg["drift"], particle_cap=cfg["cap"]
     )
-    runs = range(block * _FK_BLOCK, min((block + 1) * _FK_BLOCK, cfg["runs"]))
-    seeds = [derive_seed(cfg["seed"], "run", i) for i in runs]
-    curves, _, stats = run_batch(sim, [field] * len(seeds), seeds)
-    sizes = [None if cut else int(c.counts[-1]) for c, cut in zip(curves, stats["truncated"])]
-    return sizes, {key: stats[key] for key in _WORK_COUNTS}
-
-
-def cmd_fk_compare(cfg) -> int:
-    field = _campaign_field(cfg)
-    blocks = _campaign_map(_fk_branch_block, cfg, -(-cfg["runs"] // _FK_BLOCK), field=field)
-    sizes = np.asarray([s for block, _ in blocks for s in block if s is not None], dtype=float)
-    work = {key: sum(w[key] for _, w in blocks) for key in _WORK_COUNTS}
+    curves, work = _replicates(cfg, sim, cfg["runs"], field)
+    sizes = np.asarray([c.counts[-1] for c in curves if c is not None], dtype=float)
     truncated = cfg["runs"] - len(sizes)
     if len(sizes) == 0:
         print("fk-compare: every branching run hit the particle cap", file=sys.stderr)
@@ -616,9 +615,6 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(cfg)
-    except ParticleCapExceeded as e:
-        print(f"campaign invalidated by truncation: {e}", file=sys.stderr)
-        return 3
     except Exception:
         traceback.print_exc()
         print("internal fault or i/o failure (traceback above)", file=sys.stderr)

@@ -18,10 +18,10 @@ cache of reach lists by the query's home cell: the list holds every centre
 that could lie within ``a`` of some point of that cell, built on the cell's
 first query from the cells of its neighbourhood.  A warm query is then one
 dict lookup and an exact distance test on one or two centres, with no
-numpy.  Bulk queries (``is_blocked_many``, ``largest_clearing``) and
-``nearest_obstacle_distance`` realise whole boxes (``realize_box``), so
-every path sees the same points; a sorted-array index (d = 1) or a k-d tree
-(d >= 2) serves the batched nearest-neighbour lookups.  The box a field
+numpy.  Bulk queries (``is_blocked_many``, ``largest_clearing``) realise
+whole boxes (``realize_box``), so every path sees the same points; a
+sorted-array index (d = 1) or a k-d tree (d >= 2) serves the batched
+nearest-neighbour lookups.  The box a field
 keeps for bulk queries costs a query one comparison of its bounds while it
 covers them, and is rebuilt only when a query leaves it; then each side
 that must grow at least doubles the box's width, so a cloud of paths
@@ -327,22 +327,6 @@ class ObstacleField:
         )
         self._reach[home] = near
         return near
-
-    def nearest_obstacle_distance(self, x, search_cap: float) -> float:
-        """Distance from x to the nearest obstacle centre, if <= search_cap.
-
-        Returns ``math.inf`` when no centre lies within the cap.  An exact
-        minimum over the centres of the closed box of half-width
-        ``search_cap`` around x, which holds every centre within the cap.
-        """
-        if not search_cap > 0:
-            raise ValueError(f"search_cap must be positive, got {search_cap}")
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        pts = self.realize_box(x - search_cap, np.nextafter(x + search_cap, np.inf))
-        if not len(pts):
-            return math.inf
-        best = math.sqrt(float(np.min(np.sum((pts - x) ** 2, axis=1))))
-        return best if best <= search_cap else math.inf
 
     # -- bulk queries --------------------------------------------------------
 

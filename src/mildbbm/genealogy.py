@@ -175,10 +175,6 @@ class YuleTree:
     def n_leaves(self) -> int:
         return len(self.leaves)
 
-    def n_alive(self, s: float) -> int:
-        """Population size at time s (number of splits before s, plus one)."""
-        return 1 + sum(1 for bt in self.branch_time if bt is not None and bt <= s)
-
 
 def simulate_yule_tree(beta, t, rng, min_leaves: int = 1) -> YuleTree:
     """Simulate one pure-birth tree to horizon t.

@@ -22,8 +22,8 @@ from mildbbm.branching import (
     SimConfig,
     dichotomy_experiment,
     population_at,
+    run_batch,
     run_bbm,
-    run_free_bbm,
     trim_coupling,
 )
 from mildbbm.cli import main as cli_main
@@ -37,6 +37,18 @@ from mildbbm.seeds import derive_seed
 def report(criterion, passed, detail):
     print(f"ACCEPTANCE {criterion}: {'PASS' if passed else 'FAIL'} — {detail}")
     return passed
+
+
+def batched_curves(config, field, seeds, block=64):
+    """One run of ``config`` per seed on ``field`` (None: free), stepped in
+    blocks of ``run_batch``; each is the run ``run_bbm`` gives for its seed."""
+    curves = []
+    for lo in range(0, len(seeds), block):
+        part = seeds[lo : lo + block]
+        out, _, stats = run_batch(config, [field] * len(part), part)
+        assert not stats["truncated"].any()
+        curves += out
+    return curves
 
 
 def test_criterion_01_eigenvalue_oracle():
@@ -56,11 +68,9 @@ def test_criterion_01_eigenvalue_oracle():
 def test_criterion_02_yule_mean():
     beta, t, runs = 1.0, 6.0, 10_000
     mc = ModelConstants(1, 1.0, beta, 0.3)
-    scaled = np.empty(runs)
-    for i in range(runs):
-        cfg = SimConfig(mc=mc, t_max=t, obs_times=(t,), seed=derive_seed(2001, "run", i))
-        curve, _ = run_free_bbm(cfg)
-        scaled[i] = curve.counts[-1] * math.exp(-beta * t)
+    cfg = SimConfig(mc=mc, t_max=t, obs_times=(t,))
+    curves = batched_curves(cfg, None, [derive_seed(2001, "run", i) for i in range(runs)])
+    scaled = np.asarray([c.counts[-1] for c in curves]) * math.exp(-beta * t)
     se = scaled.std(ddof=1) / math.sqrt(runs)
     ok = abs(scaled.mean() - 1.0) < 3 * se and (scaled > 0).all()
     assert report(2, ok, f"mean={scaled.mean():.4f} (3SE={3 * se:.4f}), min={scaled.min():.4f}")
@@ -110,11 +120,9 @@ def test_criterion_05_feynman_kac_equivalence():
     field = ObstacleField(d, nu, a, 20_05, 1.0)
     mc = ModelConstants(d, nu, beta, a)
     runs = 20_000
-    sizes = np.empty(runs)
-    for i in range(runs):
-        cfg = SimConfig(mc=mc, t_max=t, obs_times=(t,), seed=derive_seed(2005, "run", i))
-        curve, _ = run_bbm(cfg, field)
-        sizes[i] = curve.counts[-1]
+    cfg = SimConfig(mc=mc, t_max=t, obs_times=(t,))
+    curves = batched_curves(cfg, field, [derive_seed(2005, "run", i) for i in range(runs)])
+    sizes = np.asarray([c.counts[-1] for c in curves], dtype=float)
     branch_mean = sizes.mean()
     branch_se = sizes.std(ddof=1) / math.sqrt(runs)
 
@@ -139,14 +147,14 @@ def test_criterion_06_coupling_identity():
     field = ObstacleField(d, nu, a, 20_06, 1.0)
     mc = ModelConstants(d, nu, beta, a)
     n = 10_000
-    direct = np.empty(n)
+    cfg = SimConfig(mc=mc, t_max=t, obs_times=(t,))
+    curves = batched_curves(cfg, field, [derive_seed(2006, "direct", i) for i in range(n)])
+    direct = np.asarray([c.counts[-1] for c in curves], dtype=float)
+    # the free arm keeps one run per log: trim_coupling reads a run's genealogy
     trimmed = np.empty(n)
     for i in range(n):
-        cfg = SimConfig(mc=mc, t_max=t, obs_times=(t,), seed=derive_seed(2006, "direct", i))
-        curve, _ = run_bbm(cfg, field)
-        direct[i] = curve.counts[-1]
         cfg2 = SimConfig(mc=mc, t_max=t, obs_times=(t,), seed=derive_seed(2006, "free", i))
-        _, log = run_free_bbm(cfg2)
+        _, log = run_bbm(cfg2, None)
         trimmed[i] = population_at(trim_coupling(log, field, seed=derive_seed(2006, "coin", i)), t)
     res = st.ks_2samp(direct, trimmed)
     ok = res.pvalue > 0.01
@@ -161,12 +169,9 @@ def test_criterion_06_coupling_identity():
 def test_criterion_07_radial_speed():
     beta, runs = 0.5, 200
     mc = ModelConstants(1, 1.0, beta, 0.3)
-    ratios = {7.0: [], 14.0: []}
-    for i in range(runs):
-        cfg = SimConfig(mc=mc, t_max=14.0, obs_times=(7.0, 14.0), seed=derive_seed(2007, "run", i))
-        curve, _ = run_free_bbm(cfg)
-        ratios[7.0].append(curve.radial_max[0] / 7.0)
-        ratios[14.0].append(curve.radial_max[1] / 14.0)
+    cfg = SimConfig(mc=mc, t_max=14.0, obs_times=(7.0, 14.0))
+    curves = batched_curves(cfg, None, [derive_seed(2007, "run", i) for i in range(runs)])
+    ratios = {7.0: [c.radial_max[0] / 7.0 for c in curves], 14.0: [c.radial_max[1] / 14.0 for c in curves]}
     med7 = float(np.median(ratios[7.0]))
     med14 = float(np.median(ratios[14.0]))
     ok = 0.6 <= med14 <= 1.0 and med14 > med7
@@ -277,11 +282,9 @@ def test_criterion_09_slowdown_direction():
     mc = ModelConstants(d, nu, beta, a)
     runs, t_max = 100, 12.0
     field = ObstacleField(d, nu, a, 2009, 1.0)
-    worst = -math.inf
-    for i in range(runs):
-        cfg = SimConfig(mc=mc, t_max=t_max, obs_times=(t_max,), seed=derive_seed(2009, "run", i))
-        curve, _ = run_bbm(cfg, field)
-        worst = max(worst, float(curve.rates[-1]))
+    cfg = SimConfig(mc=mc, t_max=t_max, obs_times=(t_max,))
+    curves = batched_curves(cfg, field, [derive_seed(2009, "run", i) for i in range(runs)])
+    worst = max(float(c.rates[-1]) for c in curves)
     pathwise = worst < beta
     ok = positive and increasing and pathwise
     assert report(

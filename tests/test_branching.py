@@ -14,12 +14,10 @@ from mildbbm.branching import (
     Ball,
     ParticleCapExceeded,
     SimConfig,
-    _simulate,
     dichotomy_experiment,
     local_mass,
     population_at,
     run_bbm,
-    run_free_bbm,
     trim_coupling,
 )
 from mildbbm.environment import ObstacleField, StackedTable
@@ -74,14 +72,14 @@ class TestConfigValidation:
 
 class TestFreeRun:
     def test_starts_with_one_particle(self):
-        curve, log = run_free_bbm(free_config(obs=(0.0,), t_max=1.0))
+        curve, log = run_bbm(free_config(obs=(0.0,), t_max=1.0), None)
         assert curve.counts[0] == 1
         assert curve.radial_max[0] == 0.0
         kinds = [r.kind for r in log]
         assert kinds[0] == "birth-root"
 
     def test_counts_non_decreasing_and_m_non_decreasing(self):
-        curve, _ = run_free_bbm(free_config(t_max=4.0, obs=tuple(np.linspace(0.5, 4.0, 8)), seed=3))
+        curve, _ = run_bbm(free_config(t_max=4.0, obs=tuple(np.linspace(0.5, 4.0, 8)), seed=3), None)
         assert (np.diff(curve.counts) >= 0).all()
         assert (np.diff(curve.radial_max) >= 0).all()
 
@@ -89,7 +87,7 @@ class TestFreeRun:
         beta, t, runs = 1.0, 1.0, 6000
         sizes = np.empty(runs, dtype=int)
         for i in range(runs):
-            curve, _ = run_free_bbm(free_config(beta=beta, t_max=t, seed=derive_seed(1, "run", i)))
+            curve, _ = run_bbm(free_config(beta=beta, t_max=t, seed=derive_seed(1, "run", i)), None)
             sizes[i] = curve.counts[-1]
         p = math.exp(-beta * t)
         kmax = 11
@@ -102,14 +100,14 @@ class TestFreeRun:
         t, runs = 2.0, 5000
         sizes = np.empty(runs)
         for i in range(runs):
-            curve, _ = run_free_bbm(free_config(t_max=t, seed=derive_seed(2, "run", i)))
+            curve, _ = run_bbm(free_config(t_max=t, seed=derive_seed(2, "run", i)), None)
             sizes[i] = curve.counts[-1]
         se = sizes.std(ddof=1) / math.sqrt(runs)
         assert abs(sizes.mean() - math.e**2) < 3 * se
 
     def test_strictly_dyadic_count_identity(self):
         for i in range(40):
-            curve, log = run_free_bbm(free_config(t_max=3.0, seed=derive_seed(3, "run", i)))
+            curve, log = run_bbm(free_config(t_max=3.0, seed=derive_seed(3, "run", i)), None)
             branches = sum(1 for r in log if r.kind == "branch")
             assert curve.counts[-1] == 1 + branches
             by_parent = {}
@@ -119,9 +117,9 @@ class TestFreeRun:
             assert all(len(kids) == 2 for kids in by_parent.values())
 
     def test_determinism(self):
-        a1 = run_free_bbm(free_config(t_max=3.0, obs=(1.0, 3.0), seed=11))
-        a2 = run_free_bbm(free_config(t_max=3.0, obs=(1.0, 3.0), seed=11))
-        b = run_free_bbm(free_config(t_max=3.0, obs=(1.0, 3.0), seed=12))
+        a1 = run_bbm(free_config(t_max=3.0, obs=(1.0, 3.0), seed=11), None)
+        a2 = run_bbm(free_config(t_max=3.0, obs=(1.0, 3.0), seed=11), None)
+        b = run_bbm(free_config(t_max=3.0, obs=(1.0, 3.0), seed=12), None)
         assert np.array_equal(a1[0].counts, a2[0].counts)
         assert a1[1].records == a2[1].records
         assert a1[1].records != b[1].records
@@ -130,7 +128,7 @@ class TestFreeRun:
 class TestThinning:
     def test_blocked_everywhere_never_branches(self):
         cfg = free_config(t_max=6.0, obs=(2.0, 4.0, 6.0), seed=5)
-        curve, log, _ = _simulate(cfg, field=BlockEverywhere())
+        curve, log = run_bbm(cfg, BlockEverywhere())
         assert (curve.counts == 1).all()
         assert all(r.kind != "branch" for r in log)
 
@@ -138,7 +136,7 @@ class TestThinning:
         beta = 0.7
         mc = ModelConstants(1, 1.0, beta, 1.0)
         cfg = SimConfig(mc=mc, t_max=1.5e4, obs_times=(1.5e4,), seed=77)
-        _, log, _ = _simulate(cfg, field=BlockEverywhere())
+        _, log = run_bbm(cfg, BlockEverywhere())
         times = [r.event_time for r in log if r.kind == "candidate-rejected"]
         gaps = np.diff([0.0] + times)
         assert len(gaps) > 9000
@@ -151,7 +149,7 @@ class TestThinning:
         obs = tuple(np.arange(0.5, 1000.5, 0.5))
         mc = ModelConstants(2, 1.0, 0.4, 1.0)
         cfg = SimConfig(mc=mc, t_max=1000.0, obs_times=obs, drift=drift, seed=42)
-        _, log, _ = _simulate(cfg, field=BlockEverywhere())
+        _, log = run_bbm(cfg, BlockEverywhere())
         pos = np.asarray([r.position for r in log if r.kind == "observed"])
         inc = np.diff(pos, axis=0)
         n = len(inc)
@@ -209,7 +207,7 @@ class TestEngineContract:
         calls = []
         monkeypatch.setattr(ObstacleField, "is_blocked", lambda self, x: calls.append(x))
         for i in range(20):
-            run_free_bbm(free_config(t_max=3.0, obs=(1.0, 3.0), seed=derive_seed(13, "run", i)))
+            run_bbm(free_config(t_max=3.0, obs=(1.0, 3.0), seed=derive_seed(13, "run", i)), None)
         assert calls == []
 
     def test_row_blocks_do_not_change_a_run(self, monkeypatch):
@@ -221,17 +219,17 @@ class TestEngineContract:
 
         def run():
             field = ObstacleField(1, 0.5, 0.3, 15)
-            curve, _, stats = _simulate(cfg, field=field, keep_log=False, focus=((0.0,), 1.0), prune_tol=1e-8)
+            (curve,), _, stats = branching.run_batch(cfg, [field], [cfg.seed], focus=((0.0,), 1.0), prune_tol=1e-8)
             return curve, stats, field.realized_cells
 
         curve, stats, cells = run()
         monkeypatch.setattr(branching, "_CHUNK", 3)
         curve_b, stats_b, cells_b = run()
-        assert stats["pruned"] > 0 and curve.counts[-1] > 3
+        assert stats["pruned"][0] > 0 and curve.counts[-1] > 3
         np.testing.assert_array_equal(curve_b.counts, curve.counts)
         np.testing.assert_array_equal(curve_b.local_counts["unit"], curve.local_counts["unit"])
-        assert stats_b["pruned"] == stats["pruned"]
-        assert stats_b["leak_bound"] == pytest.approx(stats["leak_bound"], rel=1e-12)
+        assert stats_b["pruned"][0] == stats["pruned"][0]
+        assert stats_b["leak_bound"][0] == pytest.approx(stats["leak_bound"][0], rel=1e-12)
         assert cells_b == cells
 
 
@@ -339,7 +337,7 @@ class TestBatch:
             assert_same_curve(a, b)
         rep = dichotomy_experiment(1.0, 0.8, 0.5, 0.3, 4.0, 6, seed=26)
         assert rep["events"] > rep["rejected"] > 0
-        _, log = run_free_bbm(free_config(t_max=3.0, obs=(1.5, 3.0), seed=26))
+        _, log = run_bbm(free_config(t_max=3.0, obs=(1.5, 3.0), seed=26), None)
         trim_coupling(log, fields[0], seed=26)
 
     def test_table_lookups_run_in_row_blocks(self, monkeypatch):
@@ -404,10 +402,10 @@ class TestBatch:
         calls, limit = [], branching._Batch.limit
         monkeypatch.setattr(branching, "_ROW_BUDGET", 40)
         monkeypatch.setattr(branching._Batch, "limit", lambda self, *args: calls.append(1) or limit(self, *args))
-        curve, _ = run_free_bbm(free_config(t_max=5.0, obs=(2.5, 5.0), seed=25))
+        curve, _ = run_bbm(free_config(t_max=5.0, obs=(2.5, 5.0), seed=25), None)
         assert curve.counts[-1] > 40 and not calls
         with pytest.raises(ParticleCapExceeded):
-            run_free_bbm(free_config(t_max=5.0, obs=(2.5, 5.0), seed=25, cap=60))
+            run_bbm(free_config(t_max=5.0, obs=(2.5, 5.0), seed=25, cap=60), None)
         assert calls
 
     def test_row_budget_bounds_held_rows_and_keeps_results(self, monkeypatch):
@@ -448,6 +446,32 @@ class TestBatch:
         assert narrow_stats["pruned"].tolist() == wide_stats["pruned"].tolist() and wide_stats["pruned"].sum() > 0
         assert narrow_stats["leak_bound"] == pytest.approx(wide_stats["leak_bound"], rel=1e-12)
 
+    def test_limit_sets_heavy_runs_aside_in_one_drop(self, monkeypatch):
+        # the runs the budget needs out leave the batch in one pass, heaviest
+        # first (ties to the lower index), each with its rows in order
+        n, budget = 8, 20
+        config = batch_config(times=(4.0,), drift=0.0)
+        batch = branching._Batch(config, [None] * n, [derive_seed(29, "run", i) for i in range(n)], False, None, 0.0)
+        rows = batch.start()
+        while len(rows["run"]) < 3 * budget and batch.round(rows, np.asarray([4.0]), 0.0):
+            pass
+        before = {key: c.copy() for key, c in rows.items()}
+        size = np.bincount(rows["run"], minlength=n)
+        drops, aside = [], []
+        drop = branching._drop
+        monkeypatch.setattr(branching, "_drop", lambda rows, gone: drops.append(len(gone)) or drop(rows, gone))
+        monkeypatch.setattr(branching, "_ROW_BUDGET", budget)
+        monkeypatch.setattr(batch, "advance", lambda alone, owned, k: aside.append((owned.tolist(), alone)))
+        owned = batch.limit(rows, slice(None), 0)
+        heavy = np.argsort(-size, kind="stable")[: len(aside)].tolist()
+        assert len(aside) >= 2 and drops == [size[heavy].sum()]
+        assert [runs for runs, _ in aside] == [[r] for r in heavy]
+        for (run,), alone in aside:
+            for key, c in alone.items():
+                assert c.tolist() == before[key][before["run"] == run].tolist()
+        assert len(rows["run"]) <= budget < len(rows["run"]) + size[heavy[-1]]
+        assert owned.tolist() == sorted(set(range(n)) - set(heavy))
+
 
 class TestFirstMoment:
     def test_mean_population_matches_the_deterministic_solve(self):
@@ -476,23 +500,23 @@ class TestFirstMoment:
 class TestLocalMass:
     def test_huge_radius_equals_population(self):
         cfg = free_config(t_max=2.0, obs=(1.0, 2.0), seed=21)
-        curve, log = run_free_bbm(cfg)
+        curve, log = run_bbm(cfg, None)
         assert local_mass(log, 2.0, (0.0,), 1e9) == curve.counts[-1]
         assert population_at(log, 1.0) == curve.counts[0]
 
     def test_zero_radius_empty(self):
-        _, log = run_free_bbm(free_config(t_max=1.0, seed=22))
+        _, log = run_bbm(free_config(t_max=1.0, seed=22), None)
         assert local_mass(log, 1.0, (0.0,), 0.0) == 0
 
     def test_unobserved_time_rejected(self):
-        _, log = run_free_bbm(free_config(t_max=1.0, seed=23))
+        _, log = run_bbm(free_config(t_max=1.0, seed=23), None)
         with pytest.raises(ValueError):
             local_mass(log, 0.5, (0.0,), 1.0)
 
     def test_matches_configured_ball_counts(self):
         ball = Ball("unit", (0.0,), 1.0)
         cfg = free_config(t_max=3.0, obs=(1.5, 3.0), seed=24, balls=(ball,))
-        curve, log = run_free_bbm(cfg)
+        curve, log = run_bbm(cfg, None)
         for k, t in enumerate((1.5, 3.0)):
             assert curve.local_counts["unit"][k] == local_mass(log, t, (0.0,), 1.0)
 
@@ -506,7 +530,7 @@ class TestLocalMass:
             cfg = free_config(
                 beta=beta, t_max=t, obs=(t,), seed=derive_seed(26, "run", i), balls=(ball,)
             )
-            curve, _ = run_free_bbm(cfg)
+            curve, _ = run_bbm(cfg, None)
             count = max(int(curve.local_counts["unit"][0]), 1)
             vals.append(math.log(count) / t)
         med = float(np.median(vals))
@@ -517,7 +541,7 @@ class TestParticleCap:
     def test_truncation_carries_partial_results(self):
         cfg = free_config(beta=2.0, t_max=6.0, obs=(1.0, 2.0, 6.0), seed=25, cap=32)
         with pytest.raises(ParticleCapExceeded) as exc:
-            run_free_bbm(cfg)
+            run_bbm(cfg, None)
         partial = exc.value.growth_curve
         assert len(partial.times) < 3
         assert exc.value.genealogy.records
@@ -527,14 +551,14 @@ class TestTrimCoupling:
     def test_empty_field_identity(self):
         field = ObstacleField.from_points([], a=0.3, d=1)
         cfg = free_config(t_max=3.0, obs=(1.0, 3.0), seed=31)
-        _, log = run_free_bbm(cfg)
+        _, log = run_bbm(cfg, None)
         trimmed = trim_coupling(log, field, seed=1)
         assert trimmed.records == log.records
 
     def test_blocking_everywhere_single_lineage(self):
         field = ObstacleField.from_points([[0.0]], a=1e12)
         cfg = free_config(t_max=3.0, obs=(1.0, 3.0), seed=32)
-        _, log = run_free_bbm(cfg)
+        _, log = run_bbm(cfg, None)
         trimmed = trim_coupling(log, field, seed=2)
         assert population_at(trimmed, 3.0) == 1
 
@@ -543,7 +567,7 @@ class TestTrimCoupling:
         obs = (1.0, 2.0, 3.0)
         for i in range(150):
             cfg = free_config(t_max=3.0, obs=obs, seed=derive_seed(4, "run", i))
-            curve, log = run_free_bbm(cfg)
+            curve, log = run_bbm(cfg, None)
             trimmed = trim_coupling(log, field, seed=derive_seed(5, "trim", i))
             for k, t in enumerate(obs):
                 assert population_at(trimmed, t) <= curve.counts[k]
@@ -559,7 +583,7 @@ class TestTrimCoupling:
             c, _ = run_bbm(cfg, field)
             direct[i] = c.counts[-1]
             cfg2 = SimConfig(mc=mc, t_max=3.0, obs_times=(3.0,), seed=derive_seed(7, "run", i))
-            _, logf = run_free_bbm(cfg2)
+            _, logf = run_bbm(cfg2, None)
             trimmed[i] = population_at(trim_coupling(logf, field, seed=derive_seed(8, "t", i)), 3.0)
         res = st.ks_2samp(direct, trimmed)
         assert res.pvalue > 0.01
@@ -591,7 +615,7 @@ class TestExports:
     def test_growth_curve_csv_header(self, tmp_path):
         ball = Ball("origin_unit", (0.0,), 1.0)
         cfg = free_config(t_max=2.0, obs=(1.0, 2.0), seed=71, balls=(ball,))
-        curve, log = run_free_bbm(cfg)
+        curve, log = run_bbm(cfg, None)
         path = tmp_path / "curve.csv"
         curve.to_csv(path, header="seed=71")
         lines = path.read_text().splitlines()
@@ -602,7 +626,7 @@ class TestExports:
     def test_genealogy_jsonl(self, tmp_path):
         import json
 
-        _, log = run_free_bbm(free_config(t_max=1.0, seed=72))
+        _, log = run_bbm(free_config(t_max=1.0, seed=72), None)
         path = tmp_path / "log.jsonl"
         log.to_jsonl(path)
         recs = [json.loads(line) for line in path.read_text().splitlines()]

@@ -140,6 +140,25 @@ class TestGrowthCurve:
         assert (out / "aggregated.csv").exists()
         assert rc == 1
 
+    def test_runs_do_not_depend_on_blocks_or_workers(self, tmp_path, monkeypatch):
+        from mildbbm import cli
+
+        base = ["growth-curve", "--d", "1", "--nu", "0.5", "--a", "0.3", "--beta", "1",
+                "--t-max", "2", "--obs", "1,2", "--replicates", "70", "--seed", "12"]
+        outs = {}
+        for tag, block, workers in (("w1", 64, 1), ("w2", 64, 2), ("b3", 3, 1)):
+            monkeypatch.setattr(cli, "_BLOCK", block)
+            out = tmp_path / tag
+            assert main(base + ["--workers", str(workers), "--out", str(out)]) == 0
+            outs[tag] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert len(outs["w1"]) == 70 + 3 and outs["w1"] == outs["w2"]
+        # more, smaller blocks step more rounds; nothing else may move
+        summary = {tag: json.loads(files.pop("growth_summary.json")) for tag, files in outs.items()}
+        assert outs["b3"] == outs["w1"]
+        assert summary["b3"].pop("rounds") > summary["w1"].pop("rounds")
+        assert summary["b3"] == summary["w1"]
+        assert summary["w1"]["events"] > summary["w1"]["rejected"] > 0
+
 
 class TestGates:
     def test_mrca_gate_passes_at_scale(self, tmp_path):
@@ -209,7 +228,7 @@ class TestGates:
                 "--no-dt-halving", "--seed", "8"]
         outs = {}
         for tag, block, workers in (("w1", 64, 1), ("w2", 64, 2), ("b7", 7, 1)):
-            monkeypatch.setattr(cli, "_FK_BLOCK", block)
+            monkeypatch.setattr(cli, "_BLOCK", block)
             out = tmp_path / tag
             assert main(base + ["--workers", str(workers), "--out", str(out)]) in (0, 1)
             outs[tag] = json.loads(read(out / "fk_report.json"))
@@ -336,7 +355,7 @@ class TestConfigHandling:
         def broken(*args, **kwargs):
             raise ValueError("operands could not be broadcast together")
 
-        monkeypatch.setattr(cli, "run_bbm", broken)
+        monkeypatch.setattr(cli, "run_batch", broken)
         rc = main(["growth-curve", "--replicates", "1", "--out", str(tmp_path / "f")])
         err = capsys.readouterr().err
         assert rc == 4

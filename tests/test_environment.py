@@ -20,6 +20,14 @@ from mildbbm.environment import (
 )
 
 
+def nearest_centre(field, x, half_width):
+    """Brute force: distance from x to the nearest centre that ``realize_box``
+    gives in the closed box of ``half_width`` around x (inf if none)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    pts = field.realize_box(x - half_width, np.nextafter(x + half_width, np.inf))
+    return math.sqrt(float(np.min(np.sum((pts - x) ** 2, axis=1)))) if len(pts) else math.inf
+
+
 class TestCreation:
     def test_rejects_bad_params(self):
         for bad in [dict(nu=0.0), dict(a=-1.0), dict(cell_size=0.0)]:
@@ -175,7 +183,7 @@ class TestBlocking:
         assert np.array_equal(blocked, dists <= f.a)
         # scalar path agrees on a subsample
         for x in xs[:300]:
-            r = f.nearest_obstacle_distance([x], search_cap=5.0)
+            r = nearest_centre(f, [x], 5.0)
             assert f.is_blocked([x]) == (r <= f.a)
             if r < 5.0:
                 assert r == pytest.approx(dists[list(xs).index(x)], abs=1e-9)
@@ -573,12 +581,14 @@ class TestReachLists:
 class TestNearestDistance:
     def test_exact_distance(self):
         f = ObstacleField.from_points([[3.0, 0.0]], a=0.5)
-        assert f.nearest_obstacle_distance((0.0, 0.0), 10.0) == pytest.approx(3.0, abs=1e-12)
+        assert nearest_centre(f, (0.0, 0.0), 10.0) == pytest.approx(3.0, abs=1e-12)
+        assert f.nearest_distances(np.zeros((1, 2)))[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_exceeds_cap(self):
+        # realize_box holds a centre only inside its box
         f = ObstacleField.from_points([[3.0]], a=0.5)
-        assert f.nearest_obstacle_distance((0.0,), 2.0) == math.inf
-        assert f.nearest_obstacle_distance((0.0,), 4.0) == pytest.approx(3.0)
+        assert nearest_centre(f, (0.0,), 2.0) == math.inf
+        assert nearest_centre(f, (0.0,), 4.0) == pytest.approx(3.0)
 
     def test_d2_against_brute_force(self):
         f = ObstacleField(2, 1.0, 0.3, 8888, 1.0)
@@ -587,7 +597,8 @@ class TestNearestDistance:
         for _ in range(100):
             x = rng.uniform(-5, 5, size=2)
             brute = np.sqrt(np.min(np.sum((pts - x) ** 2, axis=1)))
-            assert f.nearest_obstacle_distance(x, 8.0) == pytest.approx(brute, abs=1e-9)
+            assert f.nearest_distances(x[None, :])[0] == pytest.approx(brute, abs=1e-9)
+            assert nearest_centre(f, x, 8.0) == pytest.approx(brute, abs=1e-9)
 
     def test_d2_bulk_matches_scalar(self):
         f = ObstacleField(2, 0.8, 0.4, 999, 1.0)
@@ -608,7 +619,7 @@ class TestLargestClearing:
     def test_invariant_rechecked(self):
         f = ObstacleField(1, 1.0, 0.15, 4242, 1.0)
         cl = largest_clearing(f, 200.0, 0.05)
-        d = f.nearest_obstacle_distance(cl.center, cl.radius + f.a + 2.0)
+        d = nearest_centre(f, cl.center, cl.radius + f.a + 2.0)
         assert d >= cl.radius + f.a - 1e-9
 
     def test_monotone_in_search_radius(self):
@@ -624,7 +635,7 @@ class TestLargestClearing:
         f = ObstacleField(2, 0.5, 0.3, 11, 1.0)
         cl = largest_clearing(f, 6.0, 0.25)
         assert cl.radius >= 0.0
-        d = f.nearest_obstacle_distance(cl.center, cl.radius + f.a + 2.0)
+        d = nearest_centre(f, cl.center, cl.radius + f.a + 2.0)
         assert d >= cl.radius + f.a - 1e-9
 
 
