@@ -785,7 +785,6 @@ def dichotomy_experiment(
     d=1,
     seed=0,
     obs_times=None,
-    ball_center=None,
     ball_radius=1.0,
     particle_cap=8_000_000,
     prune_tol=1e-8,
@@ -795,7 +794,7 @@ def dichotomy_experiment(
     """Survival and local growth of the drifted process in a fixed ball.
 
     Each run draws a fresh environment and records the population of the
-    open ball B(ball_center, ball_radius) on the observation grid (default:
+    open ball B(0, ball_radius) on the observation grid (default:
     six times from t_max/3 to t_max).  The report compares the observed
     behaviour against the crossover beta = b^2/2: below it the ball empties,
     above it local mass grows with positive probability, at any obstacle
@@ -842,10 +841,7 @@ def dichotomy_experiment(
     if obs_times is None:
         obs_times = tuple(np.linspace(t_max / 3.0, t_max, 6))
     mc = ModelConstants(d=d, nu=nu, beta=beta, a=a)
-    if ball_center is None:
-        center = (0.0,) * d
-    else:
-        center = tuple(float(v) for v in np.atleast_1d(ball_center))
+    center = (0.0,) * d
     ball = Ball("target", center, ball_radius)
     lam_c = lambda_c_constant_drift(b)
 

@@ -9,38 +9,39 @@ identical points no matter when, where or in what order it is queried, and
 particles may wander arbitrarily far without a pre-declared bounding box.
 
 There is one hash, vectorised over arrays of cells (``seeds.cell_key_array``),
-and every realisation goes through it.  The scalar query ``is_blocked``
-realises cells in aligned tiles (16 cells a side in d = 2, 5 in d = 3, 2 in
-d = 4 and 5, one cell from d = 6 on): the first touch of a cell hashes its
-whole tile, with every other missing tile of the same neighbourhood, in one
-pass and caches each cell as a tuple of point tuples (Python floats).  ``is_blocked`` keys a per-field
-cache of reach lists by the query's home cell: the list holds every centre
+and every realisation goes through it.  Scalar queries realise cells in
+aligned tiles (16 cells a side in d = 2, 5 in d = 3, 2 in d = 4 and 5, one
+cell from d = 6 on): the first touch of a cell hashes its whole tile, with
+every other missing tile of the same neighbourhood, in one pass and caches
+each cell as a tuple of point tuples (Python floats).  Each field keys a
+cache of reach lists by a query's home cell: the list holds every centre
 that could lie within ``a`` of some point of that cell, built on the cell's
-first query from the cells of its neighbourhood.  A warm query is then one
-dict lookup and an exact distance test on one or two centres, with no
-numpy.  Bulk queries (``is_blocked_many``, ``largest_clearing``) realise
-whole boxes (``realize_box``), so every path sees the same points; a
-sorted-array index (d = 1) or a k-d tree (d >= 2) serves the batched
-nearest-neighbour lookups.  The box a field
-keeps for bulk queries costs a query one comparison of its bounds while it
-covers them, and is rebuilt only when a query leaves it; then each side
-that must grow at least doubles the box's width, so a cloud of paths
-spreading over a region of width W costs O(log W) rebuilds (counted in
-``bulk_rebuilds``).
+first query from the cells of its neighbourhood.  A warm ``is_blocked`` is
+then one dict lookup and an exact distance test on one or two centres, with
+no numpy.  In d >= 2, ``is_blocked_many`` reads the same lists: it groups
+its points by home cell, takes each home's list once, and tests every
+(point, centre) pair in one vectorised pass, so a bulk query realises only
+the neighbourhoods of the cells its points lie in.
 
-In d = 1 the box also carries a table of bins of width a/16 (wider on
-boxes of more than 2^20 such bins).  A bin is free when its midpoint lies
-farther than a + h/2 from every centre, blocked when it lies within
-a - h/2 of one, and mixed otherwise (the half-widths carry a margin for
-rounding).  ``is_blocked_many`` answers a query from its bin and sends
-only the points of mixed bins, about 2 % of them, through the exact
-nearest-centre rule, so its answers equal ``nearest_distances(x) <= a``.
+In d = 1 bulk queries are answered by a table of bins of width a/16 (wider
+on boxes of more than 2^20 such bins) over one box realised by
+``realize_box``.  A bin is free when its midpoint lies farther than
+a + h/2 from every centre, blocked when it lies within a - h/2 of one, and
+mixed otherwise (the half-widths carry a margin for rounding).  A query is
+answered from its bin, and only the points of mixed bins, about 2 % of
+them, go through an exact nearest-centre search.  The box is rebuilt only
+when a query comes within a margin of its edge; then each side that must
+grow at least doubles its width, so a cloud of paths spreading over a
+region of width W costs O(log W) builds.
 
-A table may stack one row of bins per field over one shared box:
+The table may stack one row of bins per field over one shared box:
 :class:`StackedTable` answers the d = 1 candidates of a batch of runs on
-distinct fields, a whole round with one gather.  Its rows are realised in
-one vectorised hash pass, and its mixed points are resolved by one search
-across rows, so each answer equals the field's own rule.
+distinct fields, a whole round with one gather.  Rows of Poisson fields
+that share ``nu`` and ``cell_size`` are realised in one vectorised hash
+pass, and the mixed points are resolved by one search across rows, so each
+answer equals the field's own rule.  A field's own bulk table is the
+one-row ``StackedTable([field])``.  ``largest_clearing`` needs distances,
+not membership, and builds its own k-d tree (d >= 2).
 
 Cell realisation is idempotent, so concurrent readers may duplicate work
 but can never disagree; there is no mutation besides cache fills.
@@ -51,9 +52,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -200,15 +199,13 @@ class ObstacleField:
 
     def _init_caches(self):
         self._reach: dict[tuple, tuple] = {}  # home cell -> reach list, see is_blocked
-        # distance a bulk box keeps beyond every query point: at least a
-        self._margin = max(self.a, self.cell_size) + self.cell_size
-        self._bulk_cache = None  # _LineCache (d == 1) or _TreeCache (d >= 2)
-        self.bulk_rebuilds = 0
+        self._table = None  # d = 1: StackedTable([self]), built on the first bulk query
 
     @property
     def realized_cells(self) -> dict:
-        """Cells realised for scalar queries: cell coordinate tuple -> tuple of
-        point tuples; on a Poisson field, every cell of each tile touched."""
+        """Cells realised for reach lists (scalar queries, and bulk queries in
+        d >= 2): cell coordinate tuple -> tuple of point tuples; on a Poisson
+        field, every cell of each tile touched."""
         return self._cells
 
     def spec_record(self) -> dict:
@@ -330,64 +327,42 @@ class ObstacleField:
 
     # -- bulk queries --------------------------------------------------------
 
-    def _query_box(self, lo: list, hi: list):
-        """Bulk cache covering every query point in [lo, hi] (one entry per
-        coordinate) with margin >= a.
-
-        A query inside the box the cache serves (:func:`_covers`) costs one
-        comparison per coordinate and side; only a miss realises a new box,
-        grown geometrically (see :func:`_grown_box`).
-        """
-        cache = self._bulk_cache
-        if _covers(cache, lo, hi):
-            return cache
-        m = self._margin
-        new_lo, new_hi = _grown_box(cache, np.asarray(lo) - m, np.asarray(hi) + m, 4.0 * self.cell_size)
-        pts = self.realize_box(new_lo, new_hi)
-        self.bulk_rebuilds += 1
-        if self.d == 1:
-            cache = _line_cache(new_lo, new_hi, np.sort(pts[:, 0]), self.a, margin=m)
-        else:
-            from scipy.spatial import cKDTree
-
-            cache = _TreeCache(new_lo, new_hi, _served_box(new_lo, new_hi, m), cKDTree(pts) if len(pts) else None)
-        self._bulk_cache = cache
-        return cache
-
-    def nearest_distances(self, xs: np.ndarray) -> np.ndarray:
-        """Nearest-centre distances for a batch of query points.
-
-        Valid wherever the returned distance is smaller than the distance
-        from the query point to the realised box boundary; callers that need
-        exactness beyond that (``largest_clearing``) re-realise with a
-        bigger margin.  For blocking queries the margin is >= a by
-        construction, which is all that is needed.
-        """
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim == 1:
-            xs = xs[:, None]
-        if len(xs) == 0:
-            return np.zeros(0)
-        cache = self._query_box(xs.min(axis=0).tolist(), xs.max(axis=0).tolist())
-        if self.d == 1:
-            return cache.distances(xs[:, 0])
-        if cache.tree is None:
-            return np.full(len(xs), np.inf)
-        dist, _ = cache.tree.query(xs)
-        return dist
-
     def is_blocked_many(self, xs: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`is_blocked` (inclusive radius).
 
-        In d = 1 each point is answered from the blocking table of its bin;
-        only points in mixed bins go through ``nearest_distances``' rule.
+        In d = 1 each point is answered from the blocking table of its bin
+        (the one-row :class:`StackedTable` of this field).  In d >= 2 the
+        points are grouped by home cell, each home's reach list is taken
+        once (built on a miss, as for :meth:`is_blocked`), and each point is
+        compared with its home's centres by ``sqrt(sum of squares) <= a``,
+        which is exact along an axis.
         """
-        if self.d > 1:
-            return self.nearest_distances(xs) <= self.a
-        q = np.asarray(xs, dtype=float).reshape(-1)
-        if q.size == 0:
-            return np.zeros(0, dtype=bool)
-        return self._query_box([q.min()], [q.max()]).blocked(q)
+        if self.d == 1:
+            if self._table is None:
+                self._table = StackedTable([self])
+            return self._table.is_blocked(np.asarray(xs, dtype=float).reshape(-1))
+        xs = np.asarray(xs, dtype=float).reshape(-1, self.d)
+        homes = np.floor(xs / self.cell_size).astype(np.int64)
+        order = np.lexsort(homes.T[::-1])
+        homes, xs = homes[order], xs[order]
+        first = np.ones(len(xs), dtype=bool)
+        first[1:] = (homes[1:] != homes[:-1]).any(axis=1)
+        reach, lists = self._reach, []
+        for home in map(tuple, homes[first].tolist()):
+            lists.append(reach[home] if home in reach else self._reach_list(home))
+        centres = np.asarray([p for near in lists for p in near], dtype=float).reshape(-1, self.d)
+        # (point, centre) pairs: each point meets every centre of its home's list
+        sizes = np.asarray([len(near) for near in lists], dtype=np.intp)
+        group = np.cumsum(first) - 1
+        per_point = sizes[group]
+        point = np.repeat(np.arange(len(xs)), per_point)
+        # pair k of point i is centre k - (i's first pair) + (its home's first centre)
+        shift = np.cumsum(per_point) - per_point - (np.cumsum(sizes) - sizes)[group]
+        centre = np.arange(len(point)) - np.repeat(shift, per_point)
+        hit = np.sqrt(np.sum((xs[point] - centres[centre]) ** 2, axis=1)) <= self.a
+        blocked = np.zeros(len(xs), dtype=bool)
+        blocked[order[point[hit]]] = True
+        return blocked
 
 
 class StackedTable:
@@ -396,10 +371,10 @@ class StackedTable:
     Row i of the table holds the bins of ``fields[i]`` over one box shared
     by every row, so the candidates of a round on distinct fields are
     answered with one gather.  The box keeps every query farther than each
-    field's ``max(a, cell_size) + cell_size`` from its edge, and grows as a
-    field's own bulk box does (:func:`_grown_box`); ``builds`` counts the
-    tables built.  Each answer equals the field's own
-    ``is_blocked_many`` answer, the exact rule ``|x - c| <= a``.
+    field's ``max(a, cell_size) + cell_size`` from its edge, and grows
+    geometrically (:func:`_grown_box`); ``builds`` counts the tables built.
+    Each answer equals the field's own :meth:`ObstacleField.is_blocked`
+    answer, the exact rule ``|x - c| <= a``.
     """
 
     def __init__(self, fields):
@@ -407,53 +382,39 @@ class StackedTable:
         if not self.fields or any(f.d != 1 for f in self.fields):
             raise ValueError("a stacked table needs one or more d = 1 fields")
         self.radii = np.asarray([f.a for f in self.fields])
-        self.margin = max(f._margin for f in self.fields)
+        self.margin = max(max(f.a, f.cell_size) + f.cell_size for f in self.fields)
         self.pad = 4.0 * max(f.cell_size for f in self.fields)
         self.table = None
         self.builds = 0
 
-    def is_blocked(self, xs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """``fields[rows[i]].is_blocked(xs[i])`` for every i, as one bool array."""
+    def is_blocked(self, xs: np.ndarray, rows=None) -> np.ndarray:
+        """``fields[rows[i]].is_blocked(xs[i])`` for every i, as one bool
+        array; row 0 for every point when ``rows`` is None."""
         if len(xs) == 0:
             return np.zeros(0, dtype=bool)
-        lo, hi, table = xs.min(), xs.max(), self.table
-        if not _covers(table, [lo], [hi]):
+        lo, hi, table = float(xs.min()), float(xs.max()), self.table
+        if table is None or not (table.served_lo <= lo and hi <= table.served_hi):
             m = self.margin
-            box_lo, box_hi = _grown_box(table, np.atleast_1d(lo - m), np.atleast_1d(hi + m), self.pad)
-            line, counts = _stacked_lines(self.fields, float(box_lo[0]), float(box_hi[0]))
-            self.table = table = _line_cache(box_lo, box_hi, line, self.radii, counts, m)
+            x0, x1 = _grown_box(table, lo - m, hi + m, self.pad)
+            line, counts = _stacked_lines(self.fields, x0, x1)
+            self.table = table = _line_cache(x0, x1, line, self.radii, counts, m)
             self.builds += 1
         return table.blocked(xs, rows)
 
 
-def _served_box(lo: np.ndarray, hi: np.ndarray, margin: float) -> tuple:
-    """Bounds of the query points a bulk box [lo, hi) serves, those at least
-    ``margin`` from its edges, as (lo, hi) float lists."""
-    return (lo + margin).tolist(), (hi - margin).tolist()
+def _grown_box(table, lo: float, hi: float, pad: float) -> tuple:
+    """Bounds (x0, x1) of a line box to realise so that it covers [lo, hi).
 
-
-def _covers(cache, lo: list, hi: list) -> bool:
-    """Whether the bulk box ``cache`` (None before the first) serves every
-    query point in [lo, hi], one entry per coordinate."""
-    if cache is None:
-        return False
-    served_lo, served_hi = cache.served
-    return all(map(operator.ge, lo, served_lo)) and all(map(operator.le, hi, served_hi))
-
-
-def _grown_box(cache, lo: np.ndarray, hi: np.ndarray, pad: float):
-    """Bounds of a box to realise so that it covers [lo, hi).
-
-    The first box (``cache`` None) is [lo, hi) padded by ``pad``.  A box
+    The first box (``table`` None) is [lo, hi) padded by ``pad``.  A box
     that no longer covers the request extends each side that must grow by
     at least its own width, so a region of width W costs O(log W) boxes.
     """
-    if cache is None:
+    if table is None:
         return lo - pad, hi + pad
-    width = cache.hi - cache.lo
-    new_lo = np.where(lo < cache.lo, np.minimum(lo, cache.lo - width), cache.lo)
-    new_hi = np.where(hi > cache.hi, np.maximum(hi, cache.hi + width), cache.hi)
-    return new_lo, new_hi
+    width = table.x1 - table.x0
+    x0 = min(lo, table.x0 - width) if lo < table.x0 else table.x0
+    x1 = max(hi, table.x1 + width) if hi > table.x1 else table.x1
+    return x0, x1
 
 
 def _hashed_points(keys: np.ndarray, cells: np.ndarray, cdf, cell_size: float):
@@ -485,18 +446,20 @@ def _stacked_lines(fields, x0: float, x1: float):
     Poisson fields that share ``nu`` and ``cell_size`` are realised in one
     vectorised hash pass over the same cells, each cell keyed by its own
     field's seed, so every field's centres are those of its own
-    ``realize_box``.
+    ``realize_box``.  A field alone in its group (a finite field always is)
+    is realised through its own ``realize_box``.
     """
-    lines, rows = [], []
-    lazy = {}
+    groups = {}
     for i, f in enumerate(fields):
-        if f._finite:
-            pts = f.realize_box([x0], [x1])[:, 0]
+        groups.setdefault(i if f._finite else (f.nu, f.cell_size), []).append(i)
+    lines, rows = [], []
+    for group in groups.values():
+        if len(group) == 1:
+            pts = fields[group[0]].realize_box([x0], [x1])[:, 0]
             lines.append(pts)
-            rows.append(np.full(len(pts), i))
-        else:
-            lazy.setdefault((f.nu, f.cell_size), []).append(i)
-    for (_, cs), group in lazy.items():
+            rows.append(np.full(len(pts), group[0]))
+            continue
+        cs = fields[group[0]].cell_size
         # the cells realize_box spans
         span = np.arange(math.floor(x0 / cs), math.floor((x1 - 1e-12) / cs) + 1)
         row = np.repeat(np.asarray(group), len(span))
@@ -513,15 +476,9 @@ def _stacked_lines(fields, x0: float, x1: float):
     return line[order], np.bincount(row, minlength=len(fields))
 
 
-class _TreeCache(NamedTuple):
-    lo: np.ndarray
-    hi: np.ndarray
-    served: tuple  # see _served_box
-    tree: object  # scipy cKDTree, None for an empty box
-
-
 class _LineCache:
-    """d = 1 blocking table over [lo, hi), one row of bins per field.
+    """d = 1 blocking table over [x0, x1), one row of bins per field, serving
+    the queries in [served_lo, served_hi].
 
     ``line`` holds every row's sorted centres, row after row, each row's
     between a -inf and a +inf sentinel, and ``state[r * n + j]`` is the
@@ -533,7 +490,7 @@ class _LineCache:
     therefore always placed between its own row's sentinels.
     """
 
-    __slots__ = ("lo", "hi", "served", "x0", "x1", "line", "keys", "span", "a", "inv_h", "n", "state")
+    __slots__ = ("x0", "x1", "served_lo", "served_hi", "line", "keys", "span", "a", "inv_h", "n", "state")
 
     def blocked(self, q: np.ndarray, row=None) -> np.ndarray:
         """Whether each q[i] lies within a of a centre of row ``row[i]``
@@ -571,13 +528,13 @@ def _line_distances(line, keys, q, key) -> np.ndarray:
     return np.minimum(np.abs(q - line[idx - 1]), np.abs(line[idx] - q))
 
 
-def _line_cache(lo: np.ndarray, hi: np.ndarray, line: np.ndarray, a, counts=None, margin: float = 0.0) -> _LineCache:
-    """d = 1 bulk cache over [lo, hi) with its blocking table, serving the
-    query points at least ``margin`` from its edges (:func:`_served_box`).
+def _line_cache(x0: float, x1: float, line: np.ndarray, a, counts, margin: float) -> _LineCache:
+    """d = 1 blocking table over [x0, x1), serving the query points at least
+    ``margin`` from its edges.
 
-    ``line`` holds the sorted centres in the box; with ``counts`` it holds
-    ``len(counts)`` rows, row r holding ``counts[r]`` centres with blocking
-    radius ``a[r]``.  The cache keeps each row's centres between a -inf
+    ``line`` holds ``len(counts)`` rows of sorted centres in the box, row r
+    holding ``counts[r]`` centres with blocking radius ``a[r]`` (a scalar
+    ``a`` for every row).  The cache keeps each row's centres between a -inf
     and a +inf sentinel, keyed between the rows' key ranges (see
     :class:`_LineCache`), so a search needs no row bounds.  All rows share
     one bin width h, at most a/16 for the smallest radius (wider when the
@@ -594,13 +551,12 @@ def _line_cache(lo: np.ndarray, hi: np.ndarray, line: np.ndarray, a, counts=None
     range), a bin keeping its nearest centre's mark, so the build holds a
     byte per bin and a few dozen (bin, centre) pairs per centre.
     """
-    x0, x1 = float(lo[0]), float(hi[0])
-    counts = np.asarray([len(line)] if counts is None else counts)
+    counts = np.asarray(counts)
     rows = len(counts)
     a_row = np.broadcast_to(np.asarray(a, dtype=float), (rows,))
     cache = _LineCache()
-    cache.lo, cache.hi, cache.x0, cache.x1, cache.a = lo, hi, x0, x1, a_row
-    cache.served = _served_box(lo, hi, margin)
+    cache.x0, cache.x1, cache.a = x0, x1, a_row
+    cache.served_lo, cache.served_hi = x0 + margin, x1 - margin
     span = cache.span = 2.0 * (x1 - x0)
     row = np.repeat(np.arange(rows), counts)
     # two keys that round to one value differ by at most 2^-51 times the

@@ -349,7 +349,7 @@ class TestBatch:
         wide = [branching.run_batch(config, f, seeds)[0] for f in (fields, [fields[0]] * 8)]
         sizes = []
         ask, many = StackedTable.is_blocked, ObstacleField.is_blocked_many
-        monkeypatch.setattr(StackedTable, "is_blocked", lambda self, xs, rows: sizes.append(len(xs)) or ask(self, xs, rows))
+        monkeypatch.setattr(StackedTable, "is_blocked", lambda self, xs, rows=None: sizes.append(len(xs)) or ask(self, xs, rows))
         monkeypatch.setattr(ObstacleField, "is_blocked_many", lambda self, xs: sizes.append(len(xs)) or many(self, xs))
         monkeypatch.setattr(branching, "_CHUNK", 5)
         narrow = [branching.run_batch(config, f, seeds)[0] for f in (fields, [fields[0]] * 8)]
