@@ -20,20 +20,24 @@ on the worker count.
 
 Configuration comes from an optional JSON file (--config) overridden by
 flags; statistical gate levels live in the config under "gates" and are
-never hard-coded.  The environment variable MILDBBM_SEED overrides the
-master seed (flags still win).  The particle cap defaults to 2M for every
-command but dichotomy, which keeps dichotomy_experiment's own cap unless
-the config or --cap sets one.  Every output file carries a header with
-the run's config hash and master seed.
+never hard-coded.  Each subcommand takes the flags and config keys it
+reads, and the gate it reads, as one table (``_COMMANDS``) lists them;
+any other flag, key or gate exits 2.  The environment variable
+MILDBBM_SEED overrides the master seed (flags still win).  The particle
+cap defaults to 2M for every command but dichotomy, which keeps
+dichotomy_experiment's own cap unless the config or --cap sets one.
+Every output file carries a header with the run's config hash and master
+seed.
 
 Exit codes
 ----------
 0  pass
 1  statistical gate failed, or (growth-curve, fk-compare, dichotomy) some
    runs hit the particle cap
-2  configuration error: the config is checked when it is loaded, by
-   building the model constants, a simulation config and the obstacle
-   field it describes
+2  configuration error: a flag, config key or gate key the subcommand
+   does not read, or a config that fails the check made when it is
+   loaded, by building the model constants, a simulation config and the
+   obstacle field it describes
 3  campaign invalidated by particle-cap truncation (growth-curve,
    fk-compare and dichotomy: every run hit the cap)
 4  internal fault or i/o failure; the traceback goes to stderr
@@ -69,7 +73,6 @@ from .seeds import derive_seed
 SEED_ENV_VAR = "MILDBBM_SEED"
 
 _GATE_DEFAULTS = {
-    "alpha": 0.01,          # significance for KS/chi-square style gates
     "ks_gate": 0.01,        # absolute KS distance gate for mrca-test
     "se_gate": 3.0,         # combined-SE multiple for fk-compare
     "surv_gate": 0.05,      # survival fraction separating extinct-like
@@ -99,7 +102,6 @@ _DEFAULTS = {
     "n_paths": 4000,
     "dt": 1e-3,
     "runs": 4000,
-    "n_envs": 8,
     "prune_tol": 1e-8,
     "ball_radius": 1.0,
     "empty_env": False,
@@ -116,6 +118,7 @@ class ConfigError(ValueError):
 
 
 def _load_config(args) -> dict:
+    _, _, gate, keys = _COMMANDS[args.command]
     cfg = dict(_DEFAULTS)
     cfg.update(_COMMAND_DEFAULTS.get(args.command, {}))
     cfg["gates"] = dict(_GATE_DEFAULTS)
@@ -125,10 +128,12 @@ def _load_config(args) -> dict:
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config {args.config}: {e}")
+        if not isinstance(file_cfg, dict) or not isinstance(file_cfg.get("gates", {}), dict):
+            raise ConfigError(f"config {args.config} and its gates must be JSON objects")
         gates = file_cfg.pop("gates", {})
-        unknown = set(file_cfg) - set(_DEFAULTS)
+        unknown = sorted(set(file_cfg) - set(keys)) + [f"gates.{k}" for k in sorted(set(gates) - {gate})]
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"{args.command} reads no config keys {unknown}")
         cfg.update(file_cfg)
         cfg["gates"].update(gates)
     env_seed = os.environ.get(SEED_ENV_VAR)
@@ -140,18 +145,18 @@ def _load_config(args) -> dict:
     for key, val in vars(args).items():
         if key in cfg and val is not None:
             cfg[key] = val
-    if cfg["obs"] is not None:
-        if isinstance(cfg["obs"], str):
-            cfg["obs"] = tuple(float(v) for v in cfg["obs"].split(","))
-        else:
-            cfg["obs"] = tuple(float(v) for v in cfg["obs"])
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg):
-    """Raise ConfigError unless every object a campaign builds from cfg can be built."""
+    """Raise ConfigError unless every object a campaign builds from cfg can be
+    built; parses the observation times into a tuple of floats."""
     try:
+        if isinstance(cfg["obs"], str):
+            cfg["obs"] = cfg["obs"].split(",")
+        if cfg["obs"] is not None:
+            cfg["obs"] = tuple(float(v) for v in cfg["obs"])
         mc = ModelConstants(cfg["d"], cfg["nu"], cfg["beta"], cfg["a"])
         SimConfig(
             mc=mc,
@@ -172,6 +177,8 @@ def _validate(cfg):
                 raise ValueError(f"{name} must be an integer >= {least}, got {cfg[name]}")
         if not cfg["box_length"] >= 0 or not cfg["prune_tol"] >= 0:
             raise ValueError("box_length and prune_tol must be >= 0")
+        if not isinstance(cfg["empty_env"], bool) or not isinstance(cfg["dt_halving"], bool):
+            raise ValueError("empty_env and dt_halving must be true or false")
     except (TypeError, ValueError) as e:
         raise ConfigError(str(e)) from e
 
@@ -540,6 +547,36 @@ def cmd_clearing_stats(cfg) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
+# the config keys the commands share, in the order their flags are listed
+_FIELD = ("d", "nu", "a", "cell_size", "seed", "out")
+_RUN = (*_FIELD, "beta", "drift", "t_max", "cap")
+
+# command -> (runner, help, the gate it reads, the config keys it reads); a
+# command's flags are its keys, and it refuses every other flag, key and gate
+_COMMANDS = {
+    "gen-env": (cmd_gen_env, "realise and dump obstacle points in a box", None,
+                (*_FIELD, "box_length", "resolution")),
+    "growth-curve": (cmd_growth_curve, "replicate runs plus predicted overlays", None,
+                     (*_RUN, "obs", "replicates", "workers")),
+    "mrca-test": (cmd_mrca_test, "pair-coalescence law validation (KS gate)", "ks_gate",
+                  ("beta", "t_max", "seed", "out", "pairs")),
+    "fk-compare": (cmd_fk_compare, "branching mean vs path-functional estimate", "se_gate",
+                   (*_RUN, "runs", "workers", "n_paths", "dt", "empty_env", "dt_halving")),
+    "dichotomy": (cmd_dichotomy, "drifted local growth/extinction experiment", "surv_gate",
+                  (*_RUN, "obs", "runs", "prune_tol", "ball_radius")),
+    "clearing-stats": (cmd_clearing_stats, "largest clearing vs predicted radius", "clearing_frac",
+                       (*_FIELD, "ell", "resolution", "n_seeds")),
+}
+
+# flags that are not "--key" taking a value of the type of the key's default
+_FLAGS = {
+    "obs": ("--obs", {"help": "comma-separated observation times"}),
+    "cell_size": ("--cell-size", {"type": float}),
+    "empty_env": ("--empty-env", {"action": "store_true", "default": None}),
+    "dt_halving": ("--no-dt-halving", {"action": "store_false", "default": None}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mildbbm",
@@ -548,60 +585,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON config file; flags override its keys")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--d", type=int)
-        p.add_argument("--nu", type=float)
-        p.add_argument("--a", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--drift", type=float)
-        p.add_argument("--t-max", dest="t_max", type=float)
-        p.add_argument("--obs", help="comma-separated observation times")
-        p.add_argument("--cap", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--replicates", type=int)
-        p.add_argument("--workers", type=int)
-        p.add_argument("--out")
-        p.add_argument("--cell-size", dest="cell_size", type=float)
-
-    p = sub.add_parser("gen-env", help="realise and dump obstacle points in a box")
-    add_common(p)
-    p.add_argument("--box-length", dest="box_length", type=float)
-    p.add_argument("--resolution", type=float)
-    p.set_defaults(func=cmd_gen_env)
-
-    p = sub.add_parser("growth-curve", help="replicate runs plus predicted overlays")
-    add_common(p)
-    p.set_defaults(func=cmd_growth_curve)
-
-    p = sub.add_parser("mrca-test", help="pair-coalescence law validation (KS gate)")
-    add_common(p)
-    p.add_argument("--pairs", type=int)
-    p.set_defaults(func=cmd_mrca_test)
-
-    p = sub.add_parser("fk-compare", help="branching mean vs path-functional estimate")
-    add_common(p)
-    p.add_argument("--runs", type=int)
-    p.add_argument("--n-paths", dest="n_paths", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--empty-env", dest="empty_env", action="store_true", default=None)
-    p.add_argument("--no-dt-halving", dest="dt_halving", action="store_false", default=None)
-    p.set_defaults(func=cmd_fk_compare)
-
-    p = sub.add_parser("dichotomy", help="drifted local growth/extinction experiment")
-    add_common(p)
-    p.add_argument("--runs", type=int)
-    p.add_argument("--prune-tol", dest="prune_tol", type=float)
-    p.add_argument("--ball-radius", dest="ball_radius", type=float)
-    p.set_defaults(func=cmd_dichotomy)
-
-    p = sub.add_parser("clearing-stats", help="largest clearing vs predicted radius")
-    add_common(p)
-    p.add_argument("--ell", type=float)
-    p.add_argument("--resolution", type=float)
-    p.add_argument("--n-seeds", dest="n_seeds", type=int)
-    p.set_defaults(func=cmd_clearing_stats)
-
+    for command, (_, text, _, keys) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for key in keys:
+            flag, kwargs = _FLAGS.get(key, ("--" + key.replace("_", "-"), {"type": type(_DEFAULTS[key])}))
+            p.add_argument(flag, dest=key, **kwargs)
     return parser
 
 
@@ -614,7 +602,7 @@ def main(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     try:
-        return args.func(cfg)
+        return _COMMANDS[args.command][0](cfg)
     except Exception:
         traceback.print_exc()
         print("internal fault or i/o failure (traceback above)", file=sys.stderr)

@@ -224,15 +224,6 @@ class ObstacleField:
 
     # -- cell realisation --------------------------------------------------
 
-    def _cell(self, cell: tuple) -> tuple:
-        """Points of one lattice cell as float tuples, realised on first touch
-        with every cell of its tile (:meth:`_realise_tiles`)."""
-        pts = self._cells.get(cell)
-        if pts is None:
-            self._realise_tiles([cell])
-            pts = self._cells.get(cell, ())
-        return pts
-
     def _realise_tiles(self, cells: list):
         """Realise every cell of the tiles that hold ``cells`` (aligned blocks of
         ``_tile_side(d)`` cells a side) in one vectorised hash pass, and cache
@@ -254,8 +245,8 @@ class ObstacleField:
     def realize_box(self, lo, hi) -> np.ndarray:
         """All obstacle centres x with lo <= x < hi (component-wise).
 
-        Realised through the same vectorised hash as :meth:`_cell`, so
-        both give the same points.
+        Realised through the same vectorised hash as :meth:`_realise_tiles`,
+        so both give the same points.
         """
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -341,6 +342,7 @@ class TestConfigHandling:
             ["fk-compare", "--n-paths", "1"],
             ["gen-env", "--cell-size", "1e4"],  # Poisson cell mean too large to tabulate
             ["clearing-stats", "--ell", "2"],  # log log ell undefined
+            ["growth-curve", "--obs", "1,x"],  # an observation time that is not a number
         ],
     )
     def test_invalid_config_is_refused_before_running(self, tmp_path, args, capsys):
@@ -399,3 +401,104 @@ class TestConfigHandling:
     def test_env_var_must_be_integer(self, tmp_path, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
         assert main(["gen-env", "--out", str(tmp_path / "z")]) == 2
+
+    @pytest.mark.parametrize(
+        "command, file_cfg",
+        [
+            ("growth-curve", {"obs": 3}),  # observation times that are not a list
+            ("growth-curve", [1, 2]),  # a config that is not a JSON object
+            ("growth-curve", {"gates": 3}),  # gates that are not a JSON object
+            ("fk-compare", {"dt_halving": "false"}),  # a string, which Python reads as true
+            ("fk-compare", {"empty_env": 0}),
+        ],
+    )
+    def test_invalid_config_file_is_refused_before_running(self, tmp_path, command, file_cfg, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_cfg))
+        out = tmp_path / "never"
+        assert main(["--config", str(cfg), command] + CHEAP[command] + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+
+# the config keys each command reads; its flags are these keys, and nothing else
+FIELD = ["d", "nu", "a", "cell_size", "seed", "out"]
+RUN = FIELD + ["beta", "drift", "t_max", "cap"]
+READS = {
+    "gen-env": FIELD + ["box_length", "resolution"],
+    "growth-curve": RUN + ["obs", "replicates", "workers"],
+    "mrca-test": ["beta", "t_max", "seed", "out", "pairs"],
+    "fk-compare": RUN + ["runs", "workers", "n_paths", "dt", "empty_env", "dt_halving"],
+    "dichotomy": RUN + ["obs", "runs", "prune_tol", "ball_radius"],
+    "clearing-stats": FIELD + ["ell", "resolution", "n_seeds"],
+}
+BOOL_FLAGS = {"empty_env": "--empty-env", "dt_halving": "--no-dt-halving"}
+# flags that keep a command short, had it run
+CHEAP = {
+    "gen-env": ["--box-length", "10"],
+    "growth-curve": ["--t-max", "1", "--replicates", "1"],
+    "mrca-test": ["--pairs", "10"],
+    "fk-compare": ["--t-max", "1", "--runs", "2", "--n-paths", "2", "--dt", "0.05"],
+    "dichotomy": ["--t-max", "1", "--runs", "2"],
+    "clearing-stats": ["--ell", "100", "--n-seeds", "1"],
+}
+
+
+def flag_args(key):
+    if key in BOOL_FLAGS:
+        return [BOOL_FLAGS[key]]
+    return ["--" + key.replace("_", "-"), "1"]
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_help_lists_exactly_the_keys_read(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+        assert listed == {flag_args(key)[0] for key in READS[command]}
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_a_flag_the_command_does_not_read_exits_2(self, command, capsys):
+        from mildbbm.cli import build_parser
+
+        every = {key for keys in READS.values() for key in keys}
+        for key in READS[command]:
+            build_parser().parse_args([command] + flag_args(key))
+        for key in sorted(every - set(READS[command])) + ["n_envs"]:
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([command] + flag_args(key))
+            assert exc.value.code == 2, key
+            assert f"unrecognized arguments: {flag_args(key)[0]}" in capsys.readouterr().err, key
+
+    @pytest.mark.parametrize(
+        "command, file_cfg",
+        [
+            ("gen-env", {"beta": 2.0}),
+            ("gen-env", {"gates": {"clearing_frac": 0.5}}),
+            ("growth-curve", {"runs": 10}),
+            ("growth-curve", {"empty_env": True}),
+            ("growth-curve", {"gates": {"se_gate": 3.0}}),
+            ("mrca-test", {"d": 2}),
+            ("mrca-test", {"gates": {"ks_gat": 1e-9}}),
+            ("mrca-test", {"gates": {"se_gate": 1.0}}),
+            ("fk-compare", {"replicates": 2}),
+            ("fk-compare", {"gates": {"alpha": 0.01}}),
+            ("dichotomy", {"workers": 2}),
+            ("dichotomy", {"gates": {"ks_gate": 0.5}}),
+            ("clearing-stats", {"beta": 2.0}),
+            ("clearing-stats", {"n_envs": 8}),
+            ("clearing-stats", {"gates": {"surv_gate": 0.5}}),
+        ],
+    )
+    def test_a_key_or_gate_the_command_does_not_read_exits_2(self, tmp_path, command, file_cfg, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_cfg))
+        out = tmp_path / "never"
+        assert main(["--config", str(cfg), command] + CHEAP[command] + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        key = next(iter(file_cfg["gates"])) if "gates" in file_cfg else next(iter(file_cfg))
+        assert key in err
+        assert not out.exists()

@@ -112,9 +112,12 @@ class TestDeterminism:
         # a second field, queried in the reverse order, regenerates each cell
         cells = [(3,), (-5,), (17,), (-40,)]
         f = ObstacleField(1, 1.0, 0.25, 7, 1.0)
-        first = [f._cell(c) for c in cells]
         again = ObstacleField(1, 1.0, 0.25, 7, 1.0)
-        assert first == [again._cell(c) for c in cells[::-1]][::-1]
+        for field, order in ((f, cells), (again, cells[::-1])):
+            for c in order:
+                field._realise_tiles([c])
+        first = [f.realized_cells.get(c, ()) for c in cells]
+        assert first == [again.realized_cells.get(c, ()) for c in cells]
         assert any(first)
 
     def test_query_order_independence(self):
@@ -163,13 +166,15 @@ class TestDeterminism:
             assert sum(map(len, want)) > len(cells) // 2 and not all(want), d
             for cell, expected in zip(cells, want):
                 cold = ObstacleField(d, nu, 0.2, 2024, 0.7)
-                assert cold._cell(cell) == expected, cell
+                cold._realise_tiles([cell])
+                assert cold.realized_cells.get(cell, ()) == expected, cell
                 warm = ObstacleField(d, nu, 0.2, 2024, 0.7)
                 s = _tile_side(d)
                 neighbours = [tuple(c + step * (p == q) for p, c in enumerate(cell)) for q in range(d) for step in (-s, s)]
                 for c in neighbours:
-                    warm._cell(c)
-                assert warm._cell(cell) == expected, cell
+                    warm._realise_tiles([c])
+                warm._realise_tiles([cell])
+                assert warm.realized_cells.get(cell, ()) == expected, cell
                 assert set(warm.realized_cells) == tiles([cell] + neighbours, d)
 
     def test_different_seeds_differ(self):
@@ -187,7 +192,8 @@ class TestPoissonStatistics:
 
     def test_cell_counts_chisquare(self):
         f = ObstacleField(1, 1.0, 0.2, 777, 1.0)
-        counts = np.asarray([len(f._cell((c,))) for c in range(4000)])
+        pts = f.realize_box([0.0], [4000.0])
+        counts = np.bincount(np.floor(pts[:, 0]).astype(int), minlength=4000)
         kmax = 5
         obs = np.bincount(np.minimum(counts, kmax), minlength=kmax + 1)
         pmf = np.asarray([math.exp(-1) / math.factorial(k) for k in range(kmax)])
