@@ -153,6 +153,14 @@ def _validate(cfg):
     """Raise ConfigError unless every object a campaign builds from cfg can be
     built; parses the observation times into a tuple of floats."""
     try:
+        # bool is an int subclass, and a float seed would reach the field
+        # truncated but derive_seed as text
+        if type(cfg["seed"]) is not int:
+            raise ValueError(f"seed must be an integer, got {cfg['seed']!r}")
+        if cfg["cap"] is not None and (type(cfg["cap"]) is not int or cfg["cap"] < 1):
+            raise ValueError(f"cap must be an integer >= 1, got {cfg['cap']!r}")
+        if not isinstance(cfg["out"], str):
+            raise ValueError(f"out must be a path, got {cfg['out']!r}")
         if isinstance(cfg["obs"], str):
             cfg["obs"] = cfg["obs"].split(",")
         if cfg["obs"] is not None:

@@ -9,19 +9,18 @@ identical points no matter when, where or in what order it is queried, and
 particles may wander arbitrarily far without a pre-declared bounding box.
 
 There is one hash, vectorised over arrays of cells (``seeds.cell_key_array``),
-and every realisation goes through it.  Scalar queries realise cells in
-aligned tiles (16 cells a side in d = 2, 5 in d = 3, 2 in d = 4 and 5, one
-cell from d = 6 on): the first touch of a cell hashes its whole tile, with
-every other missing tile of the same neighbourhood, in one pass and caches
-each cell as a tuple of point tuples (Python floats).  Each field keys a
-cache of reach lists by a query's home cell: the list holds every centre
-that could lie within ``a`` of some point of that cell, built on the cell's
-first query from the cells of its neighbourhood.  A warm ``is_blocked`` is
-then one dict lookup and an exact distance test on one or two centres, with
-no numpy.  In d >= 2, ``is_blocked_many`` reads the same lists: it groups
-its points by home cell, takes each home's list once, and tests every
-(point, centre) pair in one vectorised pass, so a bulk query realises only
-the neighbourhoods of the cells its points lie in.
+and every realisation goes through it.  Each field keys a cache of reach
+lists by a query's home cell: the list holds, as tuples of Python floats,
+every centre that could lie within ``a`` of some point of that cell.  The
+lists are built a tile at a time (an aligned block of 16 cells a side in
+d = 2, 5 in d = 3, 2 in d = 4 and 5, one cell from d = 6 on): the first
+query of a home cell hashes its tile widened by r cells, with r * cell_size
+> a, in one pass, and writes the list of every home cell of the tile.  A
+warm ``is_blocked`` is then one dict lookup and an exact distance test on
+one or two centres, with no numpy.  In d >= 2, ``is_blocked_many`` reads the
+same lists: it groups its points by home cell, takes each home's list once,
+and tests every (point, centre) pair in one vectorised pass, so a bulk query
+realises only the tiles of the cells its points lie in.
 
 In d = 1 bulk queries are answered by a table of bins of width a/16 (wider
 on boxes of more than 2^20 such bins) over one box realised by
@@ -49,7 +48,6 @@ but can never disagree; there is no mutation besides cache fills.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -71,10 +69,10 @@ __all__ = [
 _POISSON_TAIL = 1e-17
 _MAX_POISSON_TERMS = 4096
 
-# scalar queries realise cells in aligned tiles of side s, the largest with
-# (2s)^d <= _QUERY_TILE_CELLS (16 in d = 2): a query's 3^d neighbourhood
-# meets at most two tiles per axis, so its first touch realises at most
-# max(_QUERY_TILE_CELLS, 3^d) cells
+# reach lists are built in aligned tiles of side s, the largest with
+# (2s)^d <= _QUERY_TILE_CELLS (16 in d = 2): a build hashes the tile widened
+# by r cells, (s + 2r)^d cells, so at most max(_QUERY_TILE_CELLS, 3^d) when
+# a < cell_size (r = 1)
 _QUERY_TILE_CELLS = 1024
 
 # d = 1 blocking table: bin width a / _BINS_PER_RADIUS, at most _MAX_BINS bins
@@ -157,7 +155,6 @@ class ObstacleField:
         self.master_seed = int(master_seed)
         self.cell_size = float(cell_size)
         self._finite = False
-        self._cells: dict[tuple, tuple] = {}
         self._cdf = _poisson_cdf_table(self.nu * self.cell_size**self.d)
         self._init_caches()
 
@@ -189,12 +186,8 @@ class ObstacleField:
         obj.cell_size = float(cell_size) if cell_size else max(obj.a, 1.0)
         obj._finite = True
         obj._cdf = None
+        obj._points = pts
         obj._init_caches()
-        cells: dict[tuple, list] = {}
-        for row in pts.tolist():
-            c = tuple(math.floor(x / obj.cell_size) for x in row)
-            cells.setdefault(c, []).append(tuple(row))
-        obj._cells = {c: tuple(v) for c, v in cells.items()}
         return obj
 
     def _init_caches(self):
@@ -203,10 +196,10 @@ class ObstacleField:
 
     @property
     def realized_cells(self) -> dict:
-        """Cells realised for reach lists (scalar queries, and bulk queries in
-        d >= 2): cell coordinate tuple -> tuple of point tuples; on a Poisson
-        field, every cell of each tile touched."""
-        return self._cells
+        """Home cells whose reach lists are built (scalar queries, and bulk
+        queries in d >= 2): home cell tuple -> tuple of centre tuples, for
+        every home cell of each tile that a query touched."""
+        return self._reach
 
     def spec_record(self) -> dict:
         """Small serialisable record identifying this field."""
@@ -224,46 +217,31 @@ class ObstacleField:
 
     # -- cell realisation --------------------------------------------------
 
-    def _realise_tiles(self, cells: list):
-        """Realise every cell of the tiles that hold ``cells`` (aligned blocks of
-        ``_tile_side(d)`` cells a side) in one vectorised hash pass, and cache
-        each as a tuple of point tuples.  A finite field has nothing to realise."""
+    def _cell_box(self, lo_cell, hi_cell) -> np.ndarray:
+        """Centres of the cells lo_cell..hi_cell (inclusive, component-wise),
+        cell after cell in lexicographic order, in one vectorised hash pass.
+        A finite field's cell holds the points whose home cell it is."""
         if self._finite:
-            return
-        d = self.d
-        s = _tile_side(d)
-        origins = np.array(sorted({tuple([c - c % s for c in cell]) for cell in cells}), dtype=np.int64)
-        cells = (origins[:, None, :] + np.indices((s,) * d).reshape(d, -1).T).reshape(-1, d)
-        pts, owner = _hashed_points(cell_key_array(self.master_seed, cells), cells, self._cdf, self.cell_size)
-        points = list(map(tuple, pts.tolist()))
-        ends = np.cumsum(np.bincount(owner, minlength=len(cells))).tolist()
-        start = 0
-        for c, end in zip(map(tuple, cells.tolist()), ends):
-            self._cells[c] = tuple(points[start:end])
-            start = end
+            cells = np.floor(self._points / self.cell_size)
+            return self._points[np.all((cells >= lo_cell) & (cells <= hi_cell), axis=1)]
+        cells = lo_cell + np.indices(tuple(np.maximum(hi_cell - lo_cell + 1, 0))).reshape(self.d, -1).T
+        return _hashed_points(cell_key_array(self.master_seed, cells), cells, self._cdf, self.cell_size)[0]
 
     def realize_box(self, lo, hi) -> np.ndarray:
         """All obstacle centres x with lo <= x < hi (component-wise).
 
-        Realised through the same vectorised hash as :meth:`_realise_tiles`,
-        so both give the same points.
+        Realised through :meth:`_cell_box`, as the reach lists are, so both
+        give the same points.
         """
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         if self._finite:
-            if not self._cells:
-                return np.empty((0, self.d))
-            pts = np.asarray([p for v in self._cells.values() for p in v], dtype=float).reshape(-1, self.d)
-            mask = np.all((pts >= lo) & (pts < hi), axis=1)
-            return pts[mask]
-        lo_cell = np.floor(lo / self.cell_size).astype(np.int64)
-        hi_cell = np.floor((hi - 1e-12) / self.cell_size).astype(np.int64)
-        ranges = [np.arange(lo_cell[q], hi_cell[q] + 1) for q in range(self.d)]
-        grids = np.meshgrid(*ranges, indexing="ij")
-        cells = np.stack([g.ravel() for g in grids], axis=1)
-        pts, _ = _hashed_points(cell_key_array(self.master_seed, cells), cells, self._cdf, self.cell_size)
-        mask = np.all((pts >= lo) & (pts < hi), axis=1)
-        return pts[mask]
+            pts = self._points
+        else:
+            lo_cell = np.floor(lo / self.cell_size).astype(np.int64)
+            hi_cell = np.floor((hi - 1e-12) / self.cell_size).astype(np.int64)
+            pts = self._cell_box(lo_cell, hi_cell)
+        return pts[np.all((pts >= lo) & (pts < hi), axis=1)]
 
     # -- scalar queries ----------------------------------------------------
 
@@ -271,9 +249,9 @@ class ObstacleField:
         """True iff x lies within distance a (inclusive) of an obstacle centre.
 
         One dict lookup: x's home cell ``floor(x / cell_size)`` keys its
-        reach list (:meth:`_reach_list`, built on the cell's first query),
-        whose one or two centres are compared with ``math.dist``, so a query
-        on a known home cell allocates no array.
+        reach list (built with its tile on the cell's first query, see
+        :meth:`_build_tile`), whose one or two centres are compared with
+        ``math.dist``, so a query on a known home cell allocates no array.
         """
         try:
             x = tuple(x)
@@ -283,38 +261,48 @@ class ObstacleField:
         home = tuple([math.floor(v / cs) for v in x])
         near = self._reach.get(home)
         if near is None:
-            near = self._reach_list(home)
+            near = self._build_tile(home)
         a = self.a
         for p in near:
             if math.dist(p, x) <= a:
                 return True
         return False
 
-    def _reach_list(self, home: tuple) -> tuple:
-        """Every centre that may lie within a of a point whose home cell is ``home``.
+    def _build_tile(self, home: tuple) -> tuple:
+        """Write the reach list of every home cell of ``home``'s tile, and
+        return ``home``'s.
 
-        The cells within r of ``home`` (Chebyshev), with r * cell_size >
-        a + slack, are realised, and their centres are kept when they lie
-        in the home cell's box widened by a + slack.  ``slack`` covers the
-        rounding of ``floor(x / cell_size)``, which may place x an ulp or
-        so outside its home box, and of the box bounds.  At the usual sizes
-        (a and cell_size near 1) a list holds one or two centres.
+        A home cell's list holds every centre in the cell's box widened by
+        a + slack, where ``slack``, taken from the tile's largest coordinate,
+        covers the rounding of ``floor(x / cell_size)`` (x may lie an ulp or
+        so outside its home box) and of the box bounds.  The tile widened by
+        r cells, r * cell_size > a + slack, is realised in one pass, and
+        centres are paired with homes one axis at a time: on each axis a
+        centre meets at most k homes, so the pairs stay few in every d.
         """
-        a, cs = self.a, self.cell_size
-        slack = 1e-9 * (a + cs * (1 + max(abs(c) for c in home)))
-        r = math.floor((a + slack) / cs) + 1
-        lo = [c * cs - a - slack for c in home]
-        hi = [(c + 1) * cs + a + slack for c in home]
-        cells = list(itertools.product(*[range(c - r, c + r + 1) for c in home]))
-        known = self._cells
-        missing = [c for c in cells if c not in known]
-        if missing:
-            self._realise_tiles(missing)
-        near = tuple(
-            p for cell in cells for p in known.get(cell, ()) if all(l <= v <= h for l, v, h in zip(lo, p, hi))
-        )
-        self._reach[home] = near
-        return near
+        d, cs, s = self.d, self.cell_size, _tile_side(self.d)
+        origin = np.array([c - c % s for c in home], dtype=np.int64)
+        slack = 1e-9 * (self.a + cs * (1 + max(-int(origin.min()), int(origin.max()) + s - 1)))
+        reach = self.a + slack
+        r = math.floor(reach / cs) + 1
+        pts = self._cell_box(origin - r, origin + s - 1 + r)
+        k = math.floor(2 * reach / cs) + 3
+        centre = np.arange(len(pts))
+        flat = np.zeros(len(pts), dtype=np.int64)  # home index within the tile, row-major
+        for q in range(d):
+            v = pts[centre, q][:, None]
+            h = np.floor((v - reach) / cs).astype(np.int64) - 1 + np.arange(k)
+            keep = (h >= origin[q]) & (h < origin[q] + s) & (h * cs - reach <= v) & (v <= (h + 1) * cs + reach)
+            pair, step = keep.nonzero()
+            centre, flat = centre[pair], flat[pair] * s + (h[pair, step] - origin[q])
+        points = list(map(tuple, pts.tolist()))
+        lists = [[] for _ in range(s**d)]
+        for j, i in zip(flat.tolist(), centre.tolist()):
+            lists[j].append(points[i])
+        homes = origin + np.indices((s,) * d).reshape(d, -1).T
+        for cell, near in zip(map(tuple, homes.tolist()), lists):
+            self._reach[cell] = tuple(near)
+        return self._reach[home]
 
     # -- bulk queries --------------------------------------------------------
 
@@ -340,7 +328,7 @@ class ObstacleField:
         first[1:] = (homes[1:] != homes[:-1]).any(axis=1)
         reach, lists = self._reach, []
         for home in map(tuple, homes[first].tolist()):
-            lists.append(reach[home] if home in reach else self._reach_list(home))
+            lists.append(reach[home] if home in reach else self._build_tile(home))
         centres = np.asarray([p for near in lists for p in near], dtype=float).reshape(-1, self.d)
         # (point, centre) pairs: each point meets every centre of its home's list
         sizes = np.asarray([len(near) for near in lists], dtype=np.intp)
@@ -606,7 +594,7 @@ def largest_clearing(field: ObstacleField, ell: float, resolution: float) -> Cle
         centers = np.stack([g.ravel() for g in grids], axis=1)
         centers = centers[np.sum(centers**2, axis=1) <= ell * ell + 1e-12]
 
-    if field._finite and not field._cells:
+    if field._finite and not len(field._points):
         return Clearing((0.0,) * field.d, math.inf)
 
     margin = max(8.0 * field.cell_size, 2.0 * field.a)

@@ -137,7 +137,8 @@ def test_criterion_05_feynman_kac_equivalence():
     solve = expected_mass_1d(field, beta, (t,))
     oracle, oracle_err = float(solve.value[0]), float(solve.error_bound[0])
     arms = ((branch_mean, branch_se), (est.point_estimate, est.std_error), (est_half.point_estimate, est_half.std_error))
-    gaps = [(m - oracle) / se for m, se in arms]
+    # an arm with SE 0 (every FK path free) gives its gap in solve errors
+    gaps = [f"{(m - oracle) / se:+.2f}" if se else f"{(m - oracle) / oracle_err:+.2f} solve errors" for m, se in arms]
     near = all(abs(m - oracle) <= 3 * se + oracle_err for m, se in arms)
     ok = diff <= 3 * combined and shift < 2 * shift_se and near
     assert report(
@@ -147,7 +148,7 @@ def test_criterion_05_feynman_kac_equivalence():
         f"±{est.std_error:.3f} (|diff|={diff:.3f} ≤ 3SE={3 * combined:.3f}); "
         f"dt-halving shift {shift:.3f} < 2SE={2 * shift_se:.3f}; "
         f"solve {oracle:.3f}±{oracle_err:.3f}, gaps (branching, FK dt, FK dt/2) "
-        f"{', '.join(f'{g:+.2f}' for g in gaps)} SE, each within 3SE + solve error",
+        f"{', '.join(gaps)} SE, each within 3SE + solve error",
     )
 
 

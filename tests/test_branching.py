@@ -188,6 +188,16 @@ class CountingField:
         return answer
 
 
+class BruteField(ObstacleField):
+    """A Poisson field that blocks by the inclusive rule over the centres
+    ``realize_box`` gives near x, without reach lists."""
+
+    def is_blocked(self, x):
+        x = tuple(float(v) for v in x)
+        near = self.realize_box([v - self.a - 1.0 for v in x], [v + self.a + 1.0 for v in x])
+        return any(math.dist(p, x) <= self.a for p in near.tolist())
+
+
 class TestEngineContract:
     def test_one_query_per_candidate_and_time_ordered_log(self):
         field = CountingField(ObstacleField(2, 0.5, 0.3, 11))
@@ -202,6 +212,22 @@ class TestEngineContract:
             assert times == sorted(times)
         assert field.calls > 0 and field.realised
         assert field.realised == set(field.field.realized_cells)
+
+    def test_d2_runs_equal_the_brute_force_blocking_rule(self):
+        # every d = 2 candidate is decided from the reach lists as the
+        # inclusive rule over realize_box's centres decides it: the same
+        # seeds give the same curves and the same logs
+        mc = ModelConstants(2, 0.5, 1.0, 0.3)
+        field, brute = ObstacleField(2, 0.5, 0.3, 16), BruteField(2, 0.5, 0.3, 16)
+        rejected = 0
+        for i in range(20):
+            cfg = SimConfig(mc=mc, t_max=4.0, obs_times=(1.0, 2.0, 4.0), seed=derive_seed(16, "run", i))
+            curve, log = run_bbm(cfg, field)
+            brute_curve, brute_log = run_bbm(cfg, brute)
+            np.testing.assert_array_equal(curve.counts, brute_curve.counts)
+            assert list(log) == list(brute_log)
+            rejected += [r.kind for r in log].count("candidate-rejected")
+        assert rejected > 20
 
     def test_free_runs_query_no_field(self, monkeypatch):
         calls = []

@@ -410,6 +410,9 @@ class TestConfigHandling:
             ("growth-curve", {"gates": 3}),  # gates that are not a JSON object
             ("fk-compare", {"dt_halving": "false"}),  # a string, which Python reads as true
             ("fk-compare", {"empty_env": 0}),
+            ("gen-env", {"seed": 1.5}),  # the field would take seed 1, derive_seed "1.5"
+            ("fk-compare", {"seed": True}),
+            ("growth-curve", {"cap": 2.5}),
         ],
     )
     def test_invalid_config_file_is_refused_before_running(self, tmp_path, command, file_cfg, capsys):
@@ -419,6 +422,15 @@ class TestConfigHandling:
         assert main(["--config", str(cfg), command] + CHEAP[command] + ["--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
+
+    def test_out_that_is_not_a_path_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        # no --out flag here, since the flag would override the file's value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": 3}))
+        monkeypatch.chdir(tmp_path)
+        assert main(["--config", str(cfg), "gen-env"] + CHEAP["gen-env"]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 # the config keys each command reads; its flags are these keys, and nothing else

@@ -73,13 +73,9 @@ class TestCreation:
             ObstacleField(1, 5000.0, 0.2, 1, 10.0)
 
 
-def neighbourhoods(queries, cs, r):
-    """Every cell within Chebyshev distance r of a query's home cell."""
-    cells = set()
-    for x in queries:
-        home = [math.floor(v / cs) for v in x]
-        cells.update(itertools.product(*[range(c - r, c + r + 1) for c in home]))
-    return cells
+def homes(queries, cs):
+    """The home cell ``floor(x / cs)`` of every query."""
+    return {tuple(math.floor(v / cs) for v in x) for x in queries}
 
 
 def tiles(cells, d=2):
@@ -91,11 +87,35 @@ def tiles(cells, d=2):
     return out
 
 
-def box_points(field, cell):
-    """The centres ``realize_box`` gives over the box of ``cell``, as tuples."""
-    cs = field.cell_size
-    pts = field.realize_box([c * cs for c in cell], [(c + 1) * cs for c in cell])
-    return tuple(map(tuple, pts.tolist()))
+def near_box(field, cell, reach, norm=2):
+    """The centres ``realize_box`` gives within ``reach`` of the box of
+    ``cell`` (distance in the ``norm``-norm), as a set of tuples."""
+    lo = np.asarray(cell) * field.cell_size
+    hi = lo + field.cell_size
+    pts = field.realize_box(lo - reach - 1.0, hi + reach + 1.0)
+    gap = np.maximum(np.maximum(lo - pts, pts - hi), 0.0)
+    return {tuple(p) for p, g in zip(pts.tolist(), np.linalg.norm(gap, norm, axis=1)) if g <= reach}
+
+
+def query_cell(field, cell):
+    """Ask ``field`` about the middle of ``cell``, which builds its reach list."""
+    field.is_blocked([(c + 0.5) * field.cell_size for c in cell])
+
+
+@pytest.fixture
+def hashed(monkeypatch):
+    """The number of cells of each ``_hashed_points`` call, as a list."""
+    from mildbbm import environment
+
+    sizes = []
+    hash_points = environment._hashed_points
+
+    def counting(keys, cells, *rest):
+        sizes.append(len(cells))
+        return hash_points(keys, cells, *rest)
+
+    monkeypatch.setattr(environment, "_hashed_points", counting)
+    return sizes
 
 
 def tile_edge_cells(d):
@@ -109,15 +129,16 @@ def tile_edge_cells(d):
 
 class TestDeterminism:
     def test_same_cell_twice_identical(self):
-        # a second field, queried in the reverse order, regenerates each cell
-        cells = [(3,), (-5,), (17,), (-40,)]
+        # a second field, queried in the reverse order, rebuilds each cell's
+        # reach list, across several tiles
+        cells = [(3,), (-5,), (17,), (-40,), (600,), (-1400,)]
         f = ObstacleField(1, 1.0, 0.25, 7, 1.0)
         again = ObstacleField(1, 1.0, 0.25, 7, 1.0)
         for field, order in ((f, cells), (again, cells[::-1])):
             for c in order:
-                field._realise_tiles([c])
-        first = [f.realized_cells.get(c, ()) for c in cells]
-        assert first == [again.realized_cells.get(c, ()) for c in cells]
+                query_cell(field, c)
+        first = [f.realized_cells[c] for c in cells]
+        assert first == [again.realized_cells[c] for c in cells]
         assert any(first)
 
     def test_query_order_independence(self):
@@ -130,9 +151,8 @@ class TestDeterminism:
         rng.shuffle(shuffled)
         ans_b = {q: fb.is_blocked(q) for q in shuffled}
         assert ans_a == [ans_b[q] for q in queries]
-        # a query realises the tiles that meet the cells within r = 1 of its
-        # home cell, whatever the order
-        want_cells = tiles(neighbourhoods(queries, fa.cell_size, 1))
+        # a query builds the tile of its home cell, whatever the order
+        want_cells = tiles(homes(queries, fa.cell_size))
         assert set(fa.realized_cells) == set(fb.realized_cells) == want_cells
         # any mix of scalar and bulk calls, in any order and any split, gives
         # the same answers and realises the same cells
@@ -156,25 +176,27 @@ class TestDeterminism:
         assert set(bulk.realized_cells) == want_cells
 
     def test_scalar_matches_bulk(self):
-        # a scalar query's cell, realised with its tile, holds exactly the
-        # points realize_box gives over the cell's box, in the same order:
-        # on a cold field, and after the neighbouring tiles are realised
-        for d, nu in ((1, 2.0), (2, 3.0), (3, 4.0)):
+        # a home cell's reach list holds every centre realize_box gives within
+        # a of the cell's box, and only centres realize_box gives inside the
+        # box widened by a hair more than a: on a cold field, and after the
+        # neighbouring tiles are built (a = cell_size reaches the second ring)
+        for (d, nu), a in itertools.product(((1, 2.0), (2, 3.0), (3, 4.0)), (0.2, 0.7)):
             cells = tile_edge_cells(d)
-            bulk = ObstacleField(d, nu, 0.2, 2024, 0.7)
-            want = [box_points(bulk, c) for c in cells]
-            assert sum(map(len, want)) > len(cells) // 2 and not all(want), d
-            for cell, expected in zip(cells, want):
-                cold = ObstacleField(d, nu, 0.2, 2024, 0.7)
-                cold._realise_tiles([cell])
-                assert cold.realized_cells.get(cell, ()) == expected, cell
-                warm = ObstacleField(d, nu, 0.2, 2024, 0.7)
+            bulk = ObstacleField(d, nu, a, 2024, 0.7)
+            want = [near_box(bulk, c, a) for c in cells]
+            outer = [near_box(bulk, c, a + 1e-6, np.inf) for c in cells]
+            assert sum(map(len, want)) > len(cells) // 2, d
+            for cell, expected, allowed in zip(cells, want, outer):
+                cold = ObstacleField(d, nu, a, 2024, 0.7)
+                query_cell(cold, cell)
+                assert expected <= set(cold.realized_cells[cell]) <= allowed, cell
+                warm = ObstacleField(d, nu, a, 2024, 0.7)
                 s = _tile_side(d)
                 neighbours = [tuple(c + step * (p == q) for p, c in enumerate(cell)) for q in range(d) for step in (-s, s)]
                 for c in neighbours:
-                    warm._realise_tiles([c])
-                warm._realise_tiles([cell])
-                assert warm.realized_cells.get(cell, ()) == expected, cell
+                    query_cell(warm, c)
+                query_cell(warm, cell)
+                assert warm.realized_cells[cell] == cold.realized_cells[cell], cell
                 assert set(warm.realized_cells) == tiles([cell] + neighbours, d)
 
     def test_different_seeds_differ(self):
@@ -587,56 +609,52 @@ class TestReachLists:
             assert got == (nearest_distances(f, queries) <= a).tolist()
             bulk = ObstacleField.from_points(pts, a=a, cell_size=cs)
             assert got == bulk.is_blocked_many(np.asarray(queries)).tolist()
-            assert len(f.realized_cells) == len(bulk.realized_cells) == len({tuple(math.floor(v / cs) for v in p) for p in pts})
+            assert set(f.realized_cells) == set(bulk.realized_cells) == tiles(homes(queries, cs))
         empty = ObstacleField.from_points([], a=0.7, d=3)
         xs = rng.uniform(-5.0, 5.0, (200, 3))
         assert not any(empty.is_blocked(x) for x in xs.tolist())
         assert not empty.is_blocked_many(xs).any()
         assert empty.is_blocked_many(np.empty((0, 3))).shape == (0,)
-        assert empty.realized_cells == {}
+        assert set(empty.realized_cells) == tiles(homes(xs.tolist(), empty.cell_size), 3)
+        assert not any(empty.realized_cells.values())
 
-    def test_a_bulk_query_realises_only_the_neighbourhoods_of_its_homes(self, monkeypatch):
-        # two points 600 apart on each axis: the bulk query hashes the tiles
-        # of their two neighbourhoods, not the box between them
-        from mildbbm import environment
-
-        hashed = []
-        hash_points = environment._hashed_points
-
-        def counting(keys, cells, *rest):
-            hashed.append(len(cells))
-            return hash_points(keys, cells, *rest)
-
-        monkeypatch.setattr(environment, "_hashed_points", counting)
+    def test_a_bulk_query_realises_only_the_tiles_of_its_homes(self, hashed):
+        # two points 600 apart on each axis: the bulk query hashes the two
+        # tiles of their homes, each widened by r = 1 cell, not the box
+        # between them
         f = ObstacleField(2, 0.5, 0.3, 5, 1.0)
         xs = np.array([[-300.0, -300.0], [300.0, 300.0]])
         got = f.is_blocked_many(xs).tolist()
-        assert sum(hashed) <= 4096
+        assert hashed == [(_tile_side(2) + 2) ** 2] * 2
         assert got == [brute_blocked(f, x) for x in xs.tolist()]
         assert f.is_blocked_many(np.empty((0, 2))).shape == (0,)
 
     @pytest.mark.parametrize("d", [3, 4, 5, 6, 9])
-    def test_a_first_query_realises_a_bounded_number_of_cells(self, d):
-        # the cells -1..1 around x straddle a tile edge on every axis, so the
-        # first query meets 2^d tiles (from d = 6 on a tile is one cell: just
-        # the 3^d neighbourhood)
+    def test_a_first_query_realises_a_bounded_number_of_cells(self, d, hashed):
+        # the cells -1..1 around x straddle a tile edge on every axis, yet the
+        # first query builds one tile, hashing the tile widened by r = 1 cell
+        # (from d = 6 on a tile is one cell: just the 3^d neighbourhood)
         x = (0.5,) * d
         f = ObstacleField(d, 0.5, 0.4, 3, 1.0)
-        assert f.is_blocked(x) == brute_blocked(f, x)
-        assert set(f.realized_cells) == tiles(neighbourhoods([x], 1.0, 1), d)
-        assert len(f.realized_cells) <= max(_QUERY_TILE_CELLS, 3**d)
+        blocked = f.is_blocked(x)
         s = _tile_side(d)
+        assert hashed == [(s + 2) ** d] and (s + 2) ** d <= max(_QUERY_TILE_CELLS, 3**d)
+        assert blocked == brute_blocked(f, x)
+        assert set(f.realized_cells) == tiles([(0,) * d], d)
+        assert len(f.realized_cells) == s**d <= _QUERY_TILE_CELLS
         assert (s == 1 or (2 * s) ** d <= _QUERY_TILE_CELLS) and (2 * s + 2) ** d > _QUERY_TILE_CELLS
 
-    @pytest.mark.parametrize("nu,a,cs,r", [(0.8, 0.3, 1.0, 1), (0.5, 1.0, 1.0, 2), (0.3, 1.7, 0.6, 3)])
-    def test_realised_cells_are_the_neighbourhoods_of_home_cells(self, nu, a, cs, r):
-        # r * cell_size > a: at a == cell_size a ball reaches the second ring
+    @pytest.mark.parametrize("nu,a,cs", [(0.8, 0.3, 1.0), (0.5, 1.0, 1.0), (0.3, 1.7, 0.6)])
+    def test_realised_cells_are_the_tiles_of_home_cells(self, nu, a, cs):
+        # whatever the reach of a ball (at a == cell_size it reaches the
+        # second ring of cells, at 1.7 / 0.6 the third), a query builds its
+        # home's tile
         queries = [tuple(v) for v in np.random.default_rng(10).uniform(-9.0, 9.0, (300, 2)).tolist()]
         for order in (queries, queries[::-1], sorted(queries)):
             f = ObstacleField(2, nu, a, 97, cs)
             for x in order:
-                f.is_blocked(x)
-            assert set(f.realized_cells) == tiles(neighbourhoods(queries, cs, r))
+                assert f.is_blocked(x) == brute_blocked(f, x)
+            assert set(f.realized_cells) == tiles(homes(queries, cs))
 
 
 class TestNearestDistance:
