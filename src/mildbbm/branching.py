@@ -403,13 +403,12 @@ class _Batch:
         """
         if len(self.gens) == 1:
             return draw(self.gens[0], sum(map(len, runs)))
-        ends = {int(v) for run in runs if len(run) for v in (run.min(), run.max())}
-        if len(ends) < 2:
-            return draw(self.gens[ends.pop() if ends else 0], sum(map(len, runs)))
         run = np.concatenate(runs)
         counts = np.bincount(run, minlength=len(self.gens))
-        who = np.flatnonzero(counts)
-        parts = np.concatenate([draw(self.gens[r], m) for r, m in zip(who.tolist(), counts[who].tolist())])
+        who = np.flatnonzero(counts).tolist()
+        if len(who) < 2:
+            return draw(self.gens[who[0] if who else 0], len(run))
+        parts = np.concatenate([draw(self.gens[r], m) for r, m in zip(who, counts[who].tolist())])
         out = np.empty_like(parts)
         out[np.argsort(run, kind="stable")] = parts
         return out

@@ -48,9 +48,11 @@ but can never disagree; there is no mutation besides cache fills.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
+from math import dist, floor
 
 import numpy as np
 
@@ -91,11 +93,14 @@ def _tile_side(d: int) -> int:
     return s
 
 
-def _poisson_cdf_table(lam: float) -> list:
+@functools.cache
+def _poisson_cdf_table(lam: float) -> tuple:
     """Cumulative Poisson(lam) probabilities out to negligible tail mass.
 
     Stops once the pmf term itself is negligible past the mode; the
-    accumulated float sum can stall a few ulps below 1.0.
+    accumulated float sum can stall a few ulps below 1.0.  Built once per
+    cell mean and kept for the life of the process: every field of that
+    mean shares the (immutable) table.
     """
     pmf = math.exp(-lam)
     cdf = [pmf]
@@ -109,7 +114,7 @@ def _poisson_cdf_table(lam: float) -> list:
             )
         pmf *= lam / k
         cdf.append(cdf[-1] + pmf)
-    return cdf
+    return tuple(cdf)
 
 
 @dataclass(frozen=True)
@@ -248,25 +253,60 @@ class ObstacleField:
     def is_blocked(self, x) -> bool:
         """True iff x lies within distance a (inclusive) of an obstacle centre.
 
-        One dict lookup: x's home cell ``floor(x / cell_size)`` keys its
-        reach list (built with its tile on the cell's first query, see
+        ``x`` is a float or a length-1 sequence in d = 1, and a length-d
+        sequence in d >= 2; any other shape raises ValueError.  One dict
+        lookup: x's home cell ``floor(x / cell_size)`` keys its reach list
+        (built with its tile on the cell's first query, see
         :meth:`_build_tile`), whose one or two centres are compared with
         ``math.dist``, so a query on a known home cell allocates no array.
+        The key is built from the unpacked coordinates in d <= 2, and
+        coordinate by coordinate from d = 3 on.
         """
-        try:
-            x = tuple(x)
-        except TypeError:
-            x = (float(x),)
-        cs = self.cell_size
-        home = tuple([math.floor(v / cs) for v in x])
+        d, cs = self.d, self.cell_size
+        # d >= 3 first, so that the one key not built by unpacking pays a
+        # single test; the unpacked keys have time to spare for a second
+        if d > 2:
+            try:
+                x = tuple(x)
+            except TypeError:
+                raise self._shape_error(x) from None
+            home = tuple([floor(v / cs) for v in x])
+        elif d == 2:
+            try:
+                x0, x1 = x
+            except (TypeError, ValueError):
+                raise self._shape_error(x) from None
+            home = (floor(x0 / cs), floor(x1 / cs))
+        else:
+            try:
+                (x0,) = x
+            except TypeError:
+                x0 = float(x)
+            except ValueError:
+                raise self._shape_error(x) from None
+            x = (x0,)
+            home = (floor(x0 / cs),)
         near = self._reach.get(home)
         if near is None:
+            # every key has d coordinates, so only a miss needs the check
+            if len(home) != d:
+                raise self._shape_error(x)
             near = self._build_tile(home)
         a = self.a
         for p in near:
-            if math.dist(p, x) <= a:
+            if dist(p, x) <= a:
                 return True
         return False
+
+    def _shape_error(self, got, bulk=False) -> ValueError:
+        """The ValueError for a query point (or, ``bulk``, an array of
+        points) of the wrong shape, naming the shape expected."""
+        if bulk:
+            want = "an array of shape " + ("(n,) or (n, 1)" if self.d == 1 else f"(n, {self.d})")
+        else:
+            want = "a float or a sequence of 1 coordinate" if self.d == 1 else f"a sequence of {self.d} coordinates"
+        shape = np.shape(got) if isinstance(got, np.ndarray) else got
+        return ValueError(f"a query of this d = {self.d} field takes {want}, got {shape!r}")
 
     def _build_tile(self, home: tuple) -> tuple:
         """Write the reach list of every home cell of ``home``'s tile, and
@@ -309,18 +349,24 @@ class ObstacleField:
     def is_blocked_many(self, xs: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`is_blocked` (inclusive radius).
 
-        In d = 1 each point is answered from the blocking table of its bin
-        (the one-row :class:`StackedTable` of this field).  In d >= 2 the
+        ``xs`` has shape (n,) or (n, 1) in d = 1, and (n, d) in d >= 2; any
+        other shape raises ValueError.  In d = 1 each point is answered from
+        the blocking table of its bin (the one-row :class:`StackedTable` of
+        this field).  In d >= 2 the
         points are grouped by home cell, each home's reach list is taken
         once (built on a miss, as for :meth:`is_blocked`), and each point is
         compared with its home's centres by ``sqrt(sum of squares) <= a``,
         which is exact along an axis.
         """
+        xs = np.asarray(xs, dtype=float)
         if self.d == 1:
+            if not (xs.ndim == 1 or xs.ndim == 2 and xs.shape[1] == 1):
+                raise self._shape_error(xs, bulk=True)
             if self._table is None:
                 self._table = StackedTable([self])
-            return self._table.is_blocked(np.asarray(xs, dtype=float).reshape(-1))
-        xs = np.asarray(xs, dtype=float).reshape(-1, self.d)
+            return self._table.is_blocked(xs.reshape(-1))
+        if xs.ndim != 2 or xs.shape[1] != self.d:
+            raise self._shape_error(xs, bulk=True)
         homes = np.floor(xs / self.cell_size).astype(np.int64)
         order = np.lexsort(homes.T[::-1])
         homes, xs = homes[order], xs[order]
@@ -525,10 +571,15 @@ def _line_cache(x0: float, x1: float, line: np.ndarray, a, counts, margin: float
     h/2 a margin far above the rounding of the bin lookup and of the
     distances, so a table answer never differs from the exact rule.  Bins
     whose reach crosses the box edge may see centres outside the box, so
-    they are mixed.  Each centre marks only the bins within its reach
-    a + slack (widened by a bin on each side for the rounding of the bin
-    range), a bin keeping its nearest centre's mark, so the build holds a
-    byte per bin and a few dozen (bin, centre) pairs per centre.
+    they are mixed.  Each centre is paired only with the bins within its
+    reach a + slack (widened by a bin on each side for the rounding of the
+    bin range), so the build holds a byte per bin and a few dozen
+    (bin, centre) pairs per centre.  A pair's mark is 1 (mixed) when the
+    bin's midpoint lies within a + slack of the centre and 2 (blocked) when
+    it lies within a - slack, and one ``np.maximum.at`` writes the marks,
+    so a bin keeps the strongest mark any centre gives it, its nearest
+    centre's.  (Two fancy assignments, mixed then blocked, give the same
+    table but cost about three times as much on numpy 2, BENCH_17.json.)
     """
     counts = np.asarray(counts)
     rows = len(counts)

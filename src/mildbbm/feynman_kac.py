@@ -83,6 +83,13 @@ def sample_free_times(field, beta, t, dt, n_paths, seed, drift=0.0):
 
     Returns (free_times, t_eff) where t_eff = round(t/dt) * dt is the exact
     grid horizon; every sample lies in [0, t_eff].
+
+    The paths come from one Generator seeded by ``(seed, "fk-paths")`` and
+    are drawn a whole time-step row at a time, in order.  Neither depends
+    on t, so at one seed and dt the paths to t are the first steps of the
+    paths to any later horizon: free times at t and 2t satisfy
+    free(t) <= free(2t) <= free(t) + t path by path, and estimates at
+    several t from one seed have correlated errors.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -159,6 +166,12 @@ def estimate_annealed_mass(
     environments.  The reported standard error is computed across
     environment means when n_envs >= 2 (samples within one environment are
     exchangeable but share that environment).
+
+    Environment e is seeded by ``derive_seed(seed, "env", e)`` and its
+    paths by ``derive_seed(seed, "paths", e)``; neither depends on t.  So
+    one seed at several t reuses the same environments and the same path
+    prefixes (see :func:`sample_free_times`), and the errors across t are
+    correlated.  Pass a different seed per t for independent estimates.
     """
     if n_envs < 1:
         raise ValueError("n_envs must be >= 1")

@@ -499,6 +499,47 @@ class TestBatch:
         assert owned.tolist() == sorted(set(range(n)) - set(heavy))
 
 
+class TestPerRunStreams:
+    """The stream contract of ``_Batch.draws`` at unit level: whatever rows a
+    call holds, each run's draws are those of its own Generator drawn alone,
+    in row order, the rows of the first run array (stepped) before those of
+    the second (born)."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_steps_are_standard_normal_vectors(self, d):
+        batch = branching._Batch(batch_config(d=d), [None], [5], False, None, 0.0)
+        for m in (0, 1, 7):
+            got = batch.steps(np.random.default_rng(41), m)
+            assert got.shape == (m, d)
+            assert np.array_equal(got, np.random.default_rng(41).standard_normal((m, d)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_each_run_draws_from_its_own_generator_in_row_order(self, d):
+        n = 5
+        seeds = [derive_seed(37, "run", i) for i in range(n)]
+        batch = branching._Batch(batch_config(d=d), [None] * n, seeds, False, None, 0.0)
+        alone = [np.random.default_rng(seed) for seed in seeds]
+        draw_alone = {
+            "gaps": lambda gen, m: gen.exponential(batch.mean_gap, m),
+            "steps": lambda gen, m: gen.standard_normal((m, d)),
+        }
+        calls = [
+            [np.zeros(0, dtype=np.int64)],  # no rows
+            [np.array([3, 3, 3])],  # rows of one run only
+            [np.array([4, 0, 2, 0, 4, 4, 1])],  # several runs, out of order
+            [np.array([2, 0, 2, 3]), np.array([0, 2])],  # [run, born_run]
+            [np.array([1]), np.zeros(0, dtype=np.int64)],
+        ]
+        for runs in calls:
+            for name in ("gaps", "steps"):
+                got = batch.draws(runs, getattr(batch, name))
+                run = np.concatenate(runs)
+                want = np.empty((len(run),) + (() if name == "gaps" else (d,)))
+                for r in range(n):
+                    want[run == r] = draw_alone[name](alone[r], int((run == r).sum()))
+                assert np.array_equal(got, want)
+
+
 class TestFirstMoment:
     def test_mean_population_matches_the_deterministic_solve(self):
         # one fixed d = 1 field: E^omega|Z_t| and E^omega Z_t(B(0, 1)) from

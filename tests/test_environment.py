@@ -72,6 +72,13 @@ class TestCreation:
         with pytest.raises(ValueError):
             ObstacleField(1, 5000.0, 0.2, 1, 10.0)
 
+    def test_fields_of_one_cell_mean_share_one_poisson_table(self):
+        f, g = ObstacleField(1, 0.5, 0.3, 1), ObstacleField(1, 0.5, 0.8, 2)
+        assert f._cdf is g._cdf and isinstance(f._cdf, tuple)
+        # the table is keyed by the cell mean nu * cell_size^d alone
+        assert ObstacleField(2, 0.5, 0.3, 3)._cdf is f._cdf
+        assert ObstacleField(1, 2.0, 0.3, 1)._cdf is not f._cdf
+
 
 def homes(queries, cs):
     """The home cell ``floor(x / cs)`` of every query."""
@@ -264,6 +271,48 @@ class TestBlocking:
         xs = np.linspace(-2000, 2000, 200_001)
         frac = f.is_blocked_many(xs).mean()
         assert frac == pytest.approx(1 - math.exp(-0.3), abs=0.01)
+
+
+class TestQueryShapes:
+    """A query of the wrong shape raises ValueError naming the shape expected,
+    instead of being reshaped into other points or answered as another."""
+
+    def test_bulk_queries_take_n_points_of_the_fields_dimension(self):
+        f2, f1 = ObstacleField(2, 0.5, 0.3, 1), ObstacleField(1, 0.5, 0.3, 1)
+        for bad in (np.zeros((2, 3)), np.zeros(4), np.zeros((3, 1)), np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError, match=r"\(n, 2\)"):
+                f2.is_blocked_many(bad)
+        for bad in (np.zeros((3, 2)), np.zeros((2, 1, 1))):
+            with pytest.raises(ValueError, match=r"\(n,\) or \(n, 1\)"):
+                f1.is_blocked_many(bad)
+        # the accepted shapes, empty ones included
+        assert f1.is_blocked_many(np.zeros(3)).shape == f1.is_blocked_many(np.zeros((3, 1))).shape == (3,)
+        assert f1.is_blocked_many(np.empty((0, 1))).shape == (0,)
+        assert f2.is_blocked_many(np.zeros((3, 2))).shape == (3,)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_scalar_queries_take_one_point_of_the_fields_dimension(self, d):
+        f = ObstacleField(d, 0.5, 0.3, 1)
+        for n in {1, 2, 3, 4} - {d}:
+            with pytest.raises(ValueError, match=f"d = {d}"):
+                f.is_blocked((0.5,) * n)
+            with pytest.raises(ValueError, match=f"d = {d}"):
+                f.is_blocked(np.full(n, 0.5))
+        # a warm home cell answers only a point of d coordinates
+        f.is_blocked((0.5,) * d)
+        with pytest.raises(ValueError):
+            f.is_blocked((0.5,) * (d + 1))
+        if d > 1:
+            with pytest.raises(ValueError, match=f"{d} coordinates"):
+                f.is_blocked(0.5)
+
+    def test_a_d1_point_is_a_float_or_one_coordinate(self):
+        f = ObstacleField.from_points([[0.0]], a=0.3)
+        for x in (0.25, np.float64(0.25), (0.25,), [0.25], np.array([0.25]), np.array(0.25)):
+            assert f.is_blocked(x)
+        assert not f.is_blocked(0.31) and not f.is_blocked([0.31])
+        with pytest.raises(ValueError, match="1 coordinate"):
+            f.is_blocked((0.5, 0.5))
 
 
 def boundary_queries(centres, a):

@@ -143,6 +143,23 @@ class TestBlockStepping:
         assert big.sizes == [20_000] * 3
 
 
+class TestStreamsAcrossHorizons:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_paths_to_t_are_prefixes_of_the_paths_to_2t(self, d):
+        # one seed and one dt draw the same paths at every horizon, whatever
+        # the block size (here 500 and 1,000 steps a block), so free times
+        # at t and 2t differ path by path by the free time in (t, 2t] only
+        field = ObstacleField(d, 1.0, 0.3, derive_seed(7, "env", 0))
+        t, dt = 0.5, 1e-3
+        short, t_eff = sample_free_times(field, 1.0, t, dt, 8, seed=11)
+        long, _ = sample_free_times(field, 1.0, 2 * t, dt, 8, seed=11)
+        steps = round(t / dt)
+        grown = np.rint(long / dt).astype(int) - np.rint(short / dt).astype(int)
+        assert ((grown >= 0) & (grown <= steps)).all()
+        assert (short <= long).all() and (long <= short + t_eff + 1e-12).all()
+        assert 0 < grown.sum() < grown.size * steps  # some blocked and some free steps
+
+
 class TestAnnealedEstimator:
     def test_reduces_to_free_growth_without_obstacles(self):
         est = estimate_annealed_mass(1, 1e-9, 0.3, 1.0, 2.0, 1e-2, 50, 4, seed=8)
