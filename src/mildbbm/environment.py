@@ -259,19 +259,11 @@ class ObstacleField:
         (built with its tile on the cell's first query, see
         :meth:`_build_tile`), whose one or two centres are compared with
         ``math.dist``, so a query on a known home cell allocates no array.
-        The key is built from the unpacked coordinates in d <= 2, and
-        coordinate by coordinate from d = 3 on.
+        In d = 2 the key is built from the unpacked coordinates, and
+        coordinate by coordinate in every other d.
         """
         d, cs = self.d, self.cell_size
-        # d >= 3 first, so that the one key not built by unpacking pays a
-        # single test; the unpacked keys have time to spare for a second
-        if d > 2:
-            try:
-                x = tuple(x)
-            except TypeError:
-                raise self._shape_error(x) from None
-            home = tuple([floor(v / cs) for v in x])
-        elif d == 2:
+        if d == 2:
             try:
                 x0, x1 = x
             except (TypeError, ValueError):
@@ -279,13 +271,12 @@ class ObstacleField:
             home = (floor(x0 / cs), floor(x1 / cs))
         else:
             try:
-                (x0,) = x
+                x = tuple(x)
             except TypeError:
-                x0 = float(x)
-            except ValueError:
-                raise self._shape_error(x) from None
-            x = (x0,)
-            home = (floor(x0 / cs),)
+                if d > 1:
+                    raise self._shape_error(x) from None
+                x = (float(x),)
+            home = tuple([floor(v / cs) for v in x])
         near = self._reach.get(home)
         if near is None:
             # every key has d coordinates, so only a miss needs the check
