@@ -22,25 +22,27 @@ same lists: it groups its points by home cell, takes each home's list once,
 and tests every (point, centre) pair in one vectorised pass, so a bulk query
 realises only the tiles of the cells its points lie in.
 
-In d = 1 bulk queries are answered by a table of bins of width a/16 (wider
-on boxes of more than 2^20 such bins) over one box realised by
-``realize_box``.  A bin is free when its midpoint lies farther than
-a + h/2 from every centre, blocked when it lies within a - h/2 of one, and
-mixed otherwise (the half-widths carry a margin for rounding).  A query is
+In d = 1 bulk queries are answered by :class:`StackedTable`: a table of
+bins of width h = a/16 (wider on boxes of more than 2^20 such bins) over one
+box realised by ``realize_box``.  A bin is free when its midpoint lies
+farther than a + h/2 from every centre in the box, blocked when it lies
+within a - h/2 of one, and mixed otherwise (the half-widths carry a margin
+for rounding).  Every query lies a margin inside the box, and the margin
+exceeds the radius, so no centre outside the box can block it.  A query is
 answered from its bin, and only the points of mixed bins, about 2 % of
-them, go through an exact nearest-centre search.  The box is rebuilt only
-when a query comes within a margin of its edge; then each side that must
-grow at least doubles its width, so a cloud of paths spreading over a
-region of width W costs O(log W) builds.
+them, go through an exact search for the nearest centre in the box.  The
+box is rebuilt only when a query comes within the margin of its edge; then
+each side that must grow at least doubles its width, so a cloud of paths
+spreading over a region of width W costs O(log W) builds.
 
-The table may stack one row of bins per field over one shared box:
-:class:`StackedTable` answers the d = 1 candidates of a batch of runs on
-distinct fields, a whole round with one gather.  Rows of Poisson fields
-that share ``nu`` and ``cell_size`` are realised in one vectorised hash
-pass, and the mixed points are resolved by one search across rows, so each
-answer equals the field's own rule.  A field's own bulk table is the
-one-row ``StackedTable([field])``.  ``largest_clearing`` needs distances,
-not membership, and builds its own k-d tree (d >= 2).
+The table stacks one row of bins per field over one shared box, so the
+d = 1 candidates of a batch of runs on distinct fields are answered, a
+whole round, with one gather.  Rows of Poisson fields that share ``nu``
+and ``cell_size`` are realised in one vectorised hash pass, and the mixed
+points are resolved by one search across rows, so each answer equals the
+field's own rule.  A field's own bulk table is the one-row
+``StackedTable([field])``.  ``largest_clearing`` needs distances, not
+membership, and builds its own k-d tree (d >= 2).
 
 Cell realisation is idempotent, so concurrent readers may duplicate work
 but can never disagree; there is no mutation besides cache fills.
@@ -77,7 +79,7 @@ _MAX_POISSON_TERMS = 4096
 # a < cell_size (r = 1)
 _QUERY_TILE_CELLS = 1024
 
-# d = 1 blocking table: bin width a / _BINS_PER_RADIUS, at most _MAX_BINS bins
+# StackedTable: bin width a / _BINS_PER_RADIUS, at most _MAX_BINS bins
 _BINS_PER_RADIUS = 16
 _MAX_BINS = 1 << 20
 # bin states, ordered so that a bin takes the largest mark any centre gives it
@@ -117,6 +119,27 @@ def _poisson_cdf_table(lam: float) -> tuple:
     return tuple(cdf)
 
 
+def _checked_cell_size(cell_size, a: float) -> float:
+    """A field's lattice pitch: max(a, 1.0) for None, else ``cell_size``,
+    which must be finite and strictly positive."""
+    if cell_size is None:
+        return max(a, 1.0)
+    if not (cell_size > 0 and math.isfinite(cell_size)):
+        raise ValueError(f"cell_size must be finite and strictly positive, got {cell_size}")
+    return float(cell_size)
+
+
+def _shape_error(d: int, got, bulk=False) -> ValueError:
+    """The ValueError for a query point (or, ``bulk``, an array of points)
+    of the wrong shape for a d-dimensional field, naming the shape expected."""
+    if bulk:
+        want = "an array of shape " + ("(n,) or (n, 1)" if d == 1 else f"(n, {d})")
+    else:
+        want = "a float or a sequence of 1 coordinate" if d == 1 else f"a sequence of {d} coordinates"
+    shape = np.shape(got) if isinstance(got, np.ndarray) else got
+    return ValueError(f"a query of a d = {d} field takes {want}, got {shape!r}")
+
+
 @dataclass(frozen=True)
 class Clearing:
     """An obstacle-free ball: no blocking ball intersects B(center, radius).
@@ -150,15 +173,11 @@ class ObstacleField:
             raise ValueError(f"nu must be strictly positive, got {nu}")
         if not a > 0:
             raise ValueError(f"a must be strictly positive, got {a}")
-        if cell_size is None:
-            cell_size = max(float(a), 1.0)
-        if not cell_size > 0:
-            raise ValueError(f"cell_size must be strictly positive, got {cell_size}")
         self.d = int(d)
         self.nu = float(nu)
         self.a = float(a)
         self.master_seed = int(master_seed)
-        self.cell_size = float(cell_size)
+        self.cell_size = _checked_cell_size(cell_size, self.a)
         self._finite = False
         self._cdf = _poisson_cdf_table(self.nu * self.cell_size**self.d)
         self._init_caches()
@@ -170,9 +189,11 @@ class ObstacleField:
         """Finite field from an explicit point list (tests, fixtures).
 
         Every cell not covered by ``points`` is empty.  ``nu`` is kept only
-        for bookkeeping and set to 0.
+        for bookkeeping and set to 0.  Every coordinate must be finite.
         """
         pts = np.asarray(points, dtype=float)
+        if not np.isfinite(pts).all():
+            raise ValueError("points must have finite coordinates")
         if pts.size == 0:
             if d is None:
                 raise ValueError("dimension required for an empty point field")
@@ -188,7 +209,7 @@ class ObstacleField:
         if not obj.a > 0:
             raise ValueError(f"a must be strictly positive, got {a}")
         obj.master_seed = 0
-        obj.cell_size = float(cell_size) if cell_size else max(obj.a, 1.0)
+        obj.cell_size = _checked_cell_size(cell_size, obj.a)
         obj._finite = True
         obj._cdf = None
         obj._points = pts
@@ -267,37 +288,27 @@ class ObstacleField:
             try:
                 x0, x1 = x
             except (TypeError, ValueError):
-                raise self._shape_error(x) from None
+                raise _shape_error(d, x) from None
             home = (floor(x0 / cs), floor(x1 / cs))
         else:
             try:
                 x = tuple(x)
             except TypeError:
                 if d > 1:
-                    raise self._shape_error(x) from None
+                    raise _shape_error(d, x) from None
                 x = (float(x),)
             home = tuple([floor(v / cs) for v in x])
         near = self._reach.get(home)
         if near is None:
             # every key has d coordinates, so only a miss needs the check
             if len(home) != d:
-                raise self._shape_error(x)
+                raise _shape_error(d, x)
             near = self._build_tile(home)
         a = self.a
         for p in near:
             if dist(p, x) <= a:
                 return True
         return False
-
-    def _shape_error(self, got, bulk=False) -> ValueError:
-        """The ValueError for a query point (or, ``bulk``, an array of
-        points) of the wrong shape, naming the shape expected."""
-        if bulk:
-            want = "an array of shape " + ("(n,) or (n, 1)" if self.d == 1 else f"(n, {self.d})")
-        else:
-            want = "a float or a sequence of 1 coordinate" if self.d == 1 else f"a sequence of {self.d} coordinates"
-        shape = np.shape(got) if isinstance(got, np.ndarray) else got
-        return ValueError(f"a query of this d = {self.d} field takes {want}, got {shape!r}")
 
     def _build_tile(self, home: tuple) -> tuple:
         """Write the reach list of every home cell of ``home``'s tile, and
@@ -341,23 +352,20 @@ class ObstacleField:
         """Vectorised :meth:`is_blocked` (inclusive radius).
 
         ``xs`` has shape (n,) or (n, 1) in d = 1, and (n, d) in d >= 2; any
-        other shape raises ValueError.  In d = 1 each point is answered from
-        the blocking table of its bin (the one-row :class:`StackedTable` of
-        this field).  In d >= 2 the
-        points are grouped by home cell, each home's reach list is taken
-        once (built on a miss, as for :meth:`is_blocked`), and each point is
-        compared with its home's centres by ``sqrt(sum of squares) <= a``,
-        which is exact along an axis.
+        other shape raises ValueError.  In d = 1 the points go to this
+        field's blocking table, the one-row :class:`StackedTable`.  In
+        d >= 2 the points are grouped by home cell, each home's reach list
+        is taken once (built on a miss, as for :meth:`is_blocked`), and
+        each point is compared with its home's centres by
+        ``sqrt(sum of squares) <= a``, which is exact along an axis.
         """
-        xs = np.asarray(xs, dtype=float)
         if self.d == 1:
-            if not (xs.ndim == 1 or xs.ndim == 2 and xs.shape[1] == 1):
-                raise self._shape_error(xs, bulk=True)
             if self._table is None:
                 self._table = StackedTable([self])
-            return self._table.is_blocked(xs.reshape(-1))
+            return self._table.is_blocked(xs)
+        xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.d:
-            raise self._shape_error(xs, bulk=True)
+            raise _shape_error(self.d, xs, bulk=True)
         homes = np.floor(xs / self.cell_size).astype(np.int64)
         order = np.lexsort(homes.T[::-1])
         homes, xs = homes[order], xs[order]
@@ -384,13 +392,23 @@ class ObstacleField:
 class StackedTable:
     """Blocking queries against several d = 1 fields, answered from one table.
 
-    Row i of the table holds the bins of ``fields[i]`` over one box shared
-    by every row, so the candidates of a round on distinct fields are
-    answered with one gather.  The box keeps every query farther than each
-    field's ``max(a, cell_size) + cell_size`` from its edge, and grows
-    geometrically (:func:`_grown_box`); ``builds`` counts the tables built.
-    Each answer equals the field's own :meth:`ObstacleField.is_blocked`
-    answer, the exact rule ``|x - c| <= a``.
+    Row r of the table holds the bins of ``fields[r]`` over one box
+    [x0, x1) shared by every row, so the candidates of a round on distinct
+    fields are answered with one gather.  Every query lies at least
+    ``margin``, the largest ``max(a, cell_size) + cell_size`` of the fields,
+    inside the box, which grows geometrically to keep it so; ``builds``
+    counts the boxes built.  Each answer equals the field's own
+    :meth:`ObstacleField.is_blocked` answer, the exact rule ``|x - c| <= a``.
+
+    ``line`` holds every row's sorted centres in the box, row after row,
+    each row's between a -inf and a +inf sentinel, and ``state[r * n + j]``
+    is the state of row r's bin j.  Across rows the centres are searched by
+    the increasing ``keys``, ``c + r * span``: ``span`` is twice the box
+    width, so the rows' key ranges do not overlap, and row r's sentinels
+    have the keys ``x0 - span / 8`` and ``x1 + span / 8`` past ``r * span``,
+    between the rows' key ranges.  A query of row r, keyed ``q + r * span``,
+    is therefore always placed between its own row's sentinels, and a
+    search needs no row bounds.
     """
 
     def __init__(self, fields):
@@ -400,37 +418,102 @@ class StackedTable:
         self.radii = np.asarray([f.a for f in self.fields])
         self.margin = max(max(f.a, f.cell_size) + f.cell_size for f in self.fields)
         self.pad = 4.0 * max(f.cell_size for f in self.fields)
-        self.table = None
         self.builds = 0
 
-    def is_blocked(self, xs: np.ndarray, rows=None) -> np.ndarray:
+    def is_blocked(self, xs, rows=None) -> np.ndarray:
         """``fields[rows[i]].is_blocked(xs[i])`` for every i, as one bool
-        array; row 0 for every point when ``rows`` is None."""
+        array; row 0 for every point when ``rows`` is None.
+
+        ``xs`` has shape (n,) or (n, 1), and ``rows`` n entries; any other
+        shape raises ValueError.  A query closer than ``margin`` to the
+        box's edge first grows the box.  The first box is the queries'
+        range widened by ``margin + pad``; a later one extends each side
+        that must grow by at least the box's width, so a region of width W
+        costs O(log W) builds.
+        """
+        xs = np.asarray(xs, dtype=float)
+        if not (xs.ndim == 1 or xs.ndim == 2 and xs.shape[1] == 1):
+            raise _shape_error(1, xs, bulk=True)
+        xs = xs.reshape(-1)
+        if rows is not None and len(rows) != len(xs):
+            raise ValueError(f"{len(xs)} query points need as many rows, got {len(rows)}")
         if len(xs) == 0:
             return np.zeros(0, dtype=bool)
-        lo, hi, table = float(xs.min()), float(xs.max()), self.table
-        if table is None or not (table.served_lo <= lo and hi <= table.served_hi):
-            m = self.margin
-            x0, x1 = _grown_box(table, lo - m, hi + m, self.pad)
-            line, counts = _stacked_lines(self.fields, x0, x1)
-            self.table = table = _line_cache(x0, x1, line, self.radii, counts, m)
-            self.builds += 1
-        return table.blocked(xs, rows)
+        lo, hi, m = float(xs.min()), float(xs.max()), self.margin
+        if not self.builds:
+            self._build(lo - m - self.pad, hi + m + self.pad)
+        elif not (self.x0 + m <= lo and hi <= self.x1 - m):
+            x0, x1 = self.x0, self.x1
+            width = x1 - x0
+            self._build(min(lo - m, x0 - width) if lo - m < x0 else x0,
+                        max(hi + m, x1 + width) if hi + m > x1 else x1)
+        b = ((xs - self.x0) * self.inv_h).astype(np.intp)
+        if rows is not None:
+            b += rows * self.n
+        state = self.state[b]
+        blocked = state == _BLOCKED
+        mixed = (state == _MIXED).nonzero()[0]
+        if mixed.size:
+            q, r = xs[mixed], 0 if rows is None else rows[mixed]
+            blocked[mixed] = _line_distances(self.line, self.keys, q, q + r * self.span) <= self.radii[r]
+        return blocked
 
+    def _build(self, x0: float, x1: float):
+        """Realise every row's centres in [x0, x1) and write the table over
+        that box.
 
-def _grown_box(table, lo: float, hi: float, pad: float) -> tuple:
-    """Bounds (x0, x1) of a line box to realise so that it covers [lo, hi).
-
-    The first box (``table`` None) is [lo, hi) padded by ``pad``.  A box
-    that no longer covers the request extends each side that must grow by
-    at least its own width, so a region of width W costs O(log W) boxes.
-    """
-    if table is None:
-        return lo - pad, hi + pad
-    width = table.x1 - table.x0
-    x0 = min(lo, table.x0 - width) if lo < table.x0 else table.x0
-    x1 = max(hi, table.x1 + width) if hi > table.x1 else table.x1
-    return x0, x1
+        All rows share one bin width h, at most a/16 for the smallest
+        radius (wider when the table would hold more than 2^20 bins).
+        Every point x of bin j lies within h/2 of the bin's midpoint m_j,
+        so the bin is free if m_j is farther than a + h/2 from every centre
+        in the box and blocked if some centre lies within a - h/2 of m_j.
+        ``slack`` adds to h/2 a margin far above the rounding of the bin
+        lookup and of the distances, so a table answer never differs from
+        the exact rule.  Centres outside the box are not needed: no query
+        comes nearer than ``margin`` to its edge, and ``margin`` exceeds
+        every radius.  Each centre is paired only with the bins within its
+        reach a + slack (widened by a bin on each side for the rounding of
+        the bin range), so the build holds a byte per bin and a few dozen
+        (bin, centre) pairs per centre.  A pair's mark is 1 (mixed) when
+        the bin's midpoint lies within a + slack of the centre and 2
+        (blocked) when it lies within a - slack, and one ``np.maximum.at``
+        writes the marks, so a bin keeps the strongest mark any centre
+        gives it, its nearest centre's.  (Two fancy assignments, mixed then
+        blocked, give the same table but cost about three times as much on
+        numpy 2, BENCH_17.json.)
+        """
+        line, counts = _stacked_lines(self.fields, x0, x1)
+        rows, a = len(counts), self.radii
+        span = 2.0 * (x1 - x0)
+        row = np.repeat(np.arange(rows), counts)
+        # two keys that round to one value differ by at most 2^-51 times the
+        # largest key, which must stay far below every radius (see _line_distances)
+        if rows > 1 and 2.0**-46 * (max(abs(x0), abs(x1)) + rows * span) > a.min():
+            raise ValueError("box too wide for a stacked table at these radii")
+        # the 2r sentinels of the rows before row r shift its entries by 2r
+        r = np.arange(rows)
+        right = np.cumsum(counts) + 2 * r + 1  # each row's +inf sentinel
+        left = right - counts - 1  # and its -inf sentinel
+        inside = np.arange(len(line)) + 2 * row + 1
+        self.line, self.keys = np.empty((2, len(line) + 2 * rows))
+        self.line[inside], self.keys[inside] = line, line + row * span
+        self.line[left], self.line[right] = -np.inf, np.inf
+        self.keys[left], self.keys[right] = x0 - span / 8 + r * span, x1 + span / 8 + r * span
+        h = max(a.min() / _BINS_PER_RADIUS, rows * (x1 - x0) / _MAX_BINS)
+        n = int((x1 - x0) / h) + 2
+        slack = 0.5 * h * (1.0 + 1e-6) + 1e-12 * (abs(x0) + abs(x1) + a)
+        # (bin, centre) pairs: the bins j whose midpoints x0 + (j + 0.5) h may
+        # lie within a + slack of the centre
+        reach = (a + slack)[row]
+        first = np.maximum(np.floor((line - reach - x0) / h - 0.5).astype(np.intp) - 1, 0)
+        size = np.maximum(np.minimum(np.floor((line + reach - x0) / h - 0.5).astype(np.intp) + 2, n) - first, 0)
+        j = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size - first, size)
+        gap = np.abs(x0 + (j + 0.5) * h - np.repeat(line, size))
+        mark = (gap <= np.repeat(reach, size)).view(np.uint8) + (gap <= np.repeat((a - slack)[row], size))
+        self.state = np.zeros(rows * n, dtype=np.uint8)
+        np.maximum.at(self.state, np.repeat(row * n, size) + j, mark)
+        self.x0, self.x1, self.span, self.inv_h, self.n = x0, x1, span, 1.0 / h, n
+        self.builds += 1
 
 
 def _hashed_points(keys: np.ndarray, cells: np.ndarray, cdf, cell_size: float):
@@ -492,42 +575,6 @@ def _stacked_lines(fields, x0: float, x1: float):
     return line[order], np.bincount(row, minlength=len(fields))
 
 
-class _LineCache:
-    """d = 1 blocking table over [x0, x1), one row of bins per field, serving
-    the queries in [served_lo, served_hi].
-
-    ``line`` holds every row's sorted centres, row after row, each row's
-    between a -inf and a +inf sentinel, and ``state[r * n + j]`` is the
-    state of row r's bin j.  Across rows the centres are searched by the
-    increasing ``keys``, ``c + r * span``: ``span`` is twice the box width,
-    so the rows' key ranges do not overlap, and row r's sentinels have the
-    keys ``x0 - span / 8`` and ``x1 + span / 8`` past ``r * span``, between
-    the rows' key ranges.  A query of row r, keyed ``q + r * span``, is
-    therefore always placed between its own row's sentinels.
-    """
-
-    __slots__ = ("x0", "x1", "served_lo", "served_hi", "line", "keys", "span", "a", "inv_h", "n", "state")
-
-    def blocked(self, q: np.ndarray, row=None) -> np.ndarray:
-        """Whether each q[i] lies within a of a centre of row ``row[i]``
-        (row 0 for every point when ``row`` is None)."""
-        b = ((q - self.x0) * self.inv_h).astype(np.intp)
-        if row is not None:
-            b += row * self.n
-        state = self.state[b]
-        blocked = state == _BLOCKED
-        mixed = (state == _MIXED).nonzero()[0]
-        if mixed.size:
-            r = None if row is None else row[mixed]
-            blocked[mixed] = self.distances(q[mixed], r) <= self.a[0 if r is None else r]
-        return blocked
-
-    def distances(self, q: np.ndarray, row=None) -> np.ndarray:
-        """Distance from each q[i] to the nearest centre of row ``row[i]``
-        (row 0 when ``row`` is None), inf for a row with no centre."""
-        return _line_distances(self.line, self.keys, q, q if row is None else q + row * self.span)
-
-
 def _line_distances(line, keys, q, key) -> np.ndarray:
     """Distance from each q to its nearest entry of ``line``.
 
@@ -542,78 +589,6 @@ def _line_distances(line, keys, q, key) -> np.ndarray:
     """
     idx = np.searchsorted(keys, key)
     return np.minimum(np.abs(q - line[idx - 1]), np.abs(line[idx] - q))
-
-
-def _line_cache(x0: float, x1: float, line: np.ndarray, a, counts, margin: float) -> _LineCache:
-    """d = 1 blocking table over [x0, x1), serving the query points at least
-    ``margin`` from its edges.
-
-    ``line`` holds ``len(counts)`` rows of sorted centres in the box, row r
-    holding ``counts[r]`` centres with blocking radius ``a[r]`` (a scalar
-    ``a`` for every row).  The cache keeps each row's centres between a -inf
-    and a +inf sentinel, keyed between the rows' key ranges (see
-    :class:`_LineCache`), so a search needs no row bounds.  All rows share
-    one bin width h, at most a/16 for the smallest radius (wider when the
-    table would hold more than 2^20 bins).
-
-    Every point x of bin j lies within h/2 of the bin's midpoint m_j, so
-    the bin is free if m_j is farther than a + h/2 from every centre and
-    blocked if some centre lies within a - h/2 of m_j.  ``slack`` adds to
-    h/2 a margin far above the rounding of the bin lookup and of the
-    distances, so a table answer never differs from the exact rule.  Bins
-    whose reach crosses the box edge may see centres outside the box, so
-    they are mixed.  Each centre is paired only with the bins within its
-    reach a + slack (widened by a bin on each side for the rounding of the
-    bin range), so the build holds a byte per bin and a few dozen
-    (bin, centre) pairs per centre.  A pair's mark is 1 (mixed) when the
-    bin's midpoint lies within a + slack of the centre and 2 (blocked) when
-    it lies within a - slack, and one ``np.maximum.at`` writes the marks,
-    so a bin keeps the strongest mark any centre gives it, its nearest
-    centre's.  (Two fancy assignments, mixed then blocked, give the same
-    table but cost about three times as much on numpy 2, BENCH_17.json.)
-    """
-    counts = np.asarray(counts)
-    rows = len(counts)
-    a_row = np.broadcast_to(np.asarray(a, dtype=float), (rows,))
-    cache = _LineCache()
-    cache.x0, cache.x1, cache.a = x0, x1, a_row
-    cache.served_lo, cache.served_hi = x0 + margin, x1 - margin
-    span = cache.span = 2.0 * (x1 - x0)
-    row = np.repeat(np.arange(rows), counts)
-    # two keys that round to one value differ by at most 2^-51 times the
-    # largest key, which must stay far below every radius (see _line_distances)
-    if rows > 1 and 2.0**-46 * (max(abs(x0), abs(x1)) + rows * span) > a_row.min():
-        raise ValueError("box too wide for a stacked table at these radii")
-    # the 2r sentinels of the rows before row r shift its entries by 2r
-    r = np.arange(rows)
-    right = np.cumsum(counts) + 2 * r + 1  # each row's +inf sentinel
-    left = right - counts - 1  # and its -inf sentinel
-    inside = np.arange(len(line)) + 2 * row + 1
-    cache.line, cache.keys = np.empty((2, len(line) + 2 * rows))
-    cache.line[inside], cache.keys[inside] = line, line + row * span
-    cache.line[left], cache.line[right] = -np.inf, np.inf
-    cache.keys[left], cache.keys[right] = x0 - span / 8 + r * span, x1 + span / 8 + r * span
-    h = max(a_row.min() / _BINS_PER_RADIUS, rows * (x1 - x0) / _MAX_BINS)
-    n = int((x1 - x0) / h) + 2
-    slack = 0.5 * h * (1.0 + 1e-6) + 1e-12 * (abs(x0) + abs(x1) + a_row)
-    # (bin, centre) pairs: the bins j whose midpoints x0 + (j + 0.5) h may
-    # lie within a + slack of the centre
-    reach = (a_row + slack)[row]
-    first = np.maximum(np.floor((line - reach - x0) / h - 0.5).astype(np.intp) - 1, 0)
-    size = np.maximum(np.minimum(np.floor((line + reach - x0) / h - 0.5).astype(np.intp) + 2, n) - first, 0)
-    j = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size - first, size)
-    gap = np.abs(x0 + (j + 0.5) * h - np.repeat(line, size))
-    mark = (gap <= np.repeat(reach, size)).view(np.uint8) + (gap <= np.repeat((a_row - slack)[row], size))
-    state = np.zeros(rows * n, dtype=np.uint8)
-    np.maximum.at(state, np.repeat(row * n, size) + j, mark)
-    state = state.reshape(rows, n)
-    # the bins within a + 2 slack of either edge
-    k = min(n, int(float((a_row + 2.0 * slack).max()) / h) + 3)
-    near = a_row[:, None] + 2.0 * slack[:, None]
-    state[:, :k][x0 + (np.arange(k) + 0.5) * h - x0 < near] = _MIXED
-    state[:, n - k :][x1 - (x0 + (np.arange(n - k, n) + 0.5) * h) < near] = _MIXED
-    cache.inv_h, cache.n, cache.state = 1.0 / h, n, state.reshape(-1)
-    return cache
 
 
 def largest_clearing(field: ObstacleField, ell: float, resolution: float) -> Clearing:

@@ -13,6 +13,7 @@ from mildbbm.environment import (
     Clearing,
     ObstacleField,
     StackedTable,
+    _line_distances,
     _tile_side,
     largest_clearing,
     load_points,
@@ -59,6 +60,22 @@ class TestCreation:
             kw.update(bad)
             with pytest.raises(ValueError):
                 ObstacleField(**kw)
+
+    def test_finite_fields_check_cell_size_and_points(self):
+        # a cell size of 0 is not the default, and a negative one does not
+        # call its own centre free
+        for cs in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="cell_size"):
+                ObstacleField.from_points([[0.5]], a=0.3, cell_size=cs)
+            with pytest.raises(ValueError, match="cell_size"):
+                ObstacleField(1, 1.0, 0.3, 1, cs)
+        for pts in ([[float("nan")]], [[float("inf"), 0.0]], [[0.0, 0.0], [1.0, -float("inf")]]):
+            with pytest.raises(ValueError, match="finite"):
+                ObstacleField.from_points(pts, a=0.3)
+        f = ObstacleField.from_points([[0.5]], a=0.3, cell_size=0.25)
+        assert f.cell_size == 0.25 and f.is_blocked(0.5)
+        assert f.is_blocked_many(np.array([0.5, 0.79, 0.81])).tolist() == [True, True, False]
+        assert ObstacleField.from_points([[0.5]], a=0.3, cell_size=None).cell_size == 1.0
 
     def test_record_round_trip(self):
         f = ObstacleField(2, 0.7, 0.4, 99, 1.5)
@@ -290,6 +307,21 @@ class TestQueryShapes:
         assert f1.is_blocked_many(np.empty((0, 1))).shape == (0,)
         assert f2.is_blocked_many(np.zeros((3, 2))).shape == (3,)
 
+    def test_stacked_tables_take_n_points_and_n_rows(self):
+        fields = mixed_fields()
+        table = StackedTable(fields)
+        xs, rows = np.array([0.5, 3.3, 7.0]), np.array([2, 2, 1])
+        want = scalar_answers(fields, xs, rows)
+        assert np.array_equal(table.is_blocked(xs[:, None], rows), want)
+        assert np.array_equal(table.is_blocked(xs, rows), want)
+        assert table.is_blocked(xs[:, None]).shape == (3,) and table.is_blocked(np.empty((0, 1))).shape == (0,)
+        for bad in (np.zeros((3, 2)), np.zeros((2, 1, 1)), np.float64(0.5)):
+            with pytest.raises(ValueError, match=r"\(n,\) or \(n, 1\)"):
+                table.is_blocked(bad)
+        for bad in (rows[:2], np.zeros(4, dtype=np.intp)):
+            with pytest.raises(ValueError, match="rows"):
+                table.is_blocked(xs, bad)
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_scalar_queries_take_one_point_of_the_fields_dimension(self, d):
         f = ObstacleField(d, 0.5, 0.3, 1)
@@ -344,8 +376,8 @@ class TestBlockingTable:
         f = ObstacleField(1, 1.0, 0.3, 12, 1.0)
         xs = np.random.default_rng(0).uniform(-30.0, 30.0, 50_000)
         f.is_blocked_many(xs)
-        cache = f._table.table
-        state = cache.state[((xs - cache.x0) * cache.inv_h).astype(np.intp)]
+        table = f._table
+        state = table.state[((xs - table.x0) * table.inv_h).astype(np.intp)]
         assert (state == _MIXED).mean() < 0.05
 
     def test_far_queries_grow_the_table(self):
@@ -382,23 +414,11 @@ class TestBlockingTable:
         grown = ObstacleField(1, 1.0, 0.3, 404, 1.0)
         for lo in range(-40, 40, 5):
             grown.is_blocked_many(np.array([float(lo)]))
-        assert 1.0 / wide._table.table.inv_h > wide.a / 16
+        assert 1.0 / wide._table.inv_h > wide.a / 16
         assert np.array_equal(wide.is_blocked_many(xs), first)
         assert np.array_equal(grown.is_blocked_many(xs), first)
         assert np.array_equal(plain.is_blocked_many(xs[::-1]), first[::-1])
         assert np.array_equal(first, exact_blocked(plain, xs))
-
-    def test_bins_reaching_past_the_box_edge_are_mixed(self):
-        # the box holds no centre, but one sits just below its lower edge:
-        # bins within its reach must not claim to be free
-        from mildbbm.environment import _FREE, _line_cache
-
-        cache = _line_cache(0.0, 10.0, np.empty(0), 0.3, [0], 0.0)
-        h = 1.0 / cache.inv_h
-        reach = int(math.ceil(0.3 / h)) + 1
-        assert not (cache.state[:reach] == _FREE).any()
-        assert not (cache.state[-reach - 1:] == _FREE).any()
-        assert (cache.state == _FREE).mean() > 0.9
 
     def test_bulk_box_grows_geometrically(self):
         # the shape of the fk benchmark: 512 paths to t = 10 at dt = 1e-3
@@ -408,7 +428,7 @@ class TestBlockingTable:
         sample_free_times(f, 1.0, 10.0, 1e-3, 512, seed=3)
         # each rebuild at least doubles the width, and the first box is at
         # least 2 * (margin + pad) = 12 wide
-        table = f._table.table
+        table = f._table
         width = table.x1 - table.x0
         assert 1 <= f._table.builds <= 1 + math.log2(width / 12.0)
         assert f._table.builds <= 4
@@ -419,19 +439,23 @@ class TestBlockingTable:
         f1.is_blocked_many(np.zeros(1))
         table.is_blocked(np.zeros(1), np.zeros(1, dtype=np.intp))
         for t in (f1._table, table):
-            assert t.margin >= 1.0
-            assert (t.table.served_lo, t.table.served_hi) == (t.table.x0 + t.margin, t.table.x1 - t.margin)
+            assert t.margin >= 1.0 and t.margin > t.radii.max()
         # queries on the served edges reuse the box, one an ulp beyond rebuilds it
-        lo, hi = f1._table.table.served_lo, f1._table.table.served_hi
+        lo, hi = served_box(f1._table)
         f1.is_blocked_many(np.array([lo, hi]))
         assert f1._table.builds == 1
         f1.is_blocked_many(np.array([np.nextafter(lo, -np.inf)]))
         assert f1._table.builds == 2
-        lo, hi = table.table.served_lo, table.table.served_hi
+        lo, hi = served_box(table)
         table.is_blocked(np.array([lo, hi]), np.array([0, 5]))
         assert table.builds == 1
         table.is_blocked(np.array([np.nextafter(hi, np.inf)]), np.array([5]))
         assert table.builds == 2
+
+
+def served_box(table):
+    """The queries ``table`` answers without growing: ``margin`` inside its box."""
+    return table.x0 + table.margin, table.x1 - table.margin
 
 
 def mixed_fields():
@@ -482,7 +506,7 @@ class TestStackedTable:
         far = near.copy()
         far[0] = 250.0
         grown = table.is_blocked(far, rows)
-        assert table.builds == 2 and table.table.x1 > 250.0
+        assert table.builds == 2 and table.x1 > 250.0
         assert np.array_equal(grown[1:], first[1:])
         assert np.array_equal(grown, scalar_answers(fields, far, rows))
         spread = rng.uniform(-300.0, 300.0, 4000)
@@ -503,6 +527,41 @@ class TestStackedTable:
         with pytest.raises(ValueError):
             StackedTable([ObstacleField(2, 0.5, 0.3, 1)])
 
+    @pytest.mark.parametrize(
+        "x0,x1,radii,cells", [(-20.0, 20.0, (1.3, 0.3), (1.0, 0.6)), (-2e5, 2e5, (1.0, 0.6), (0.5, 0.25))]
+    )
+    def test_served_queries_ignore_centres_outside_the_box(self, x0, x1, radii, cells):
+        # finite rows with centres just outside both edges of the box
+        # [x0, x1), and none inside near them: a served query lies margin
+        # inside the box, farther than any radius from those centres, so the
+        # bins mark only the centres inside.  The wide box's bins are wider
+        # than every cell, so the bins next to the served edges reach past
+        # the box edge.
+        rng = np.random.default_rng(15)
+        outside = [np.nextafter(x0, -np.inf), x0 - 0.05, x1, np.nextafter(x1, np.inf), x1 + 0.05]
+        rows = [np.concatenate([outside, rng.uniform(x0 + 5.0, x0 + 60.0, 25), rng.uniform(x1 - 60.0, x1 - 5.0, 25)])
+                for _ in radii]
+        fields = [ObstacleField.from_points(c, a=a, d=1, cell_size=cs) for c, a, cs in zip(rows, radii, cells)]
+        table = StackedTable(fields)
+        table._build(x0, x1)
+        assert table.margin > max(radii)
+        if x1 > 100:
+            assert 1.0 / table.inv_h > max(cells)
+        lo, hi = served_box(table)
+        xs, rs = [], []
+        for r, (centres, a) in enumerate(zip(rows, radii)):
+            near = np.concatenate([[lo, np.nextafter(lo, np.inf), hi, np.nextafter(hi, -np.inf)],
+                                   lo + rng.uniform(0.0, 3.0, 200), hi - rng.uniform(0.0, 3.0, 200)])
+            q = np.concatenate([near, boundary_queries(centres, a)])
+            q = q[(q >= lo) & (q <= hi)]
+            xs.append(q)
+            rs.append(np.full(len(q), r))
+        xs, rs = np.concatenate(xs), np.concatenate(rs)
+        got = table.is_blocked(xs, rs)
+        assert table.builds == 1
+        assert np.array_equal(got, scalar_answers(fields, xs, rs))
+        assert got.any() and not got.all()
+
 
 def brute_distances(centres, q):
     """min |q - c| over ``centres``, inf when there is none."""
@@ -511,34 +570,38 @@ def brute_distances(centres, q):
     return np.abs(q[:, None] - centres[None, :]).min(axis=1)
 
 
-def served_queries(cache, centres, a, rng):
-    """Queries inside the box ``cache`` serves: c +- a and their float
+def served_queries(table, centres, a, rng):
+    """Queries inside the box ``table`` serves: c +- a and their float
     neighbours, the served edges and the floats just inside them, and
     uniform points."""
-    lo, hi = cache.served_lo, cache.served_hi
+    lo, hi = served_box(table)
     edges = [lo, np.nextafter(lo, np.inf), hi, np.nextafter(hi, -np.inf)]
     q = np.concatenate([boundary_queries(centres, a), edges, rng.uniform(lo, hi, 400)])
     return q[(q >= lo) & (q <= hi)]
 
 
+def row_distances(table, q, r=0):
+    """Distance from each q to the nearest centre in the box of row r of
+    ``table``, searched as the table resolves its mixed bins."""
+    return _line_distances(table.line, table.keys, q, q + r * table.span)
+
+
 class TestLineSearch:
-    """``_LineCache.distances`` against a brute-force search of each row's
-    own centres."""
+    """The search of a :class:`StackedTable`'s centres, ``_line_distances``,
+    against a brute-force search of each row's own centres."""
 
     def test_one_row(self):
-        from mildbbm.environment import _line_cache
-
         rng = np.random.default_rng(12)
         inner = np.sort(rng.uniform(-15.0, 15.0, 60))
         # centres inside the served box only, also on both box edges, and none
         for centres in (inner, np.concatenate([[-20.0], inner, [np.nextafter(20.0, -np.inf)]]), np.empty(0)):
-            cache = _line_cache(-20.0, 20.0, centres, 0.3, [len(centres)], 2.0)
-            q = served_queries(cache, centres, 0.3, rng)
-            assert np.array_equal(cache.distances(q), brute_distances(centres, q))
+            table = StackedTable([ObstacleField.from_points(centres, a=0.3, d=1)])
+            table._build(-20.0, 20.0)
+            assert table.margin == 2.0
+            q = served_queries(table, centres, 0.3, rng)
+            assert np.array_equal(row_distances(table, q), brute_distances(centres, q))
 
     def test_stacked_rows(self):
-        from mildbbm.environment import _line_cache
-
         rng = np.random.default_rng(13)
         x0, x1 = -20.0, 20.0
         # many centres, none, one, centres on both box edges, and none again
@@ -550,14 +613,15 @@ class TestLineSearch:
             np.empty(0),
         ]
         radii = np.array([0.3, 0.2, 0.5, 0.25, 0.4])
-        cache = _line_cache(x0, x1, np.concatenate(rows), radii, [len(c) for c in rows], 2.0)
+        table = StackedTable([ObstacleField.from_points(c, a=a, d=1) for c, a in zip(rows, radii)])
+        table._build(x0, x1)
+        assert table.margin == 2.0
         every = np.concatenate(rows)
         for r, centres in enumerate(rows):
             # each row's own edges, and every other row's, which must not count
-            q = np.concatenate([served_queries(cache, centres, radii[r], rng), every])
-            got = cache.distances(q, np.full(len(q), r))
-            assert np.array_equal(got, brute_distances(centres, q)), r
-        assert np.isinf(cache.distances(every, np.full(len(every), 1))).all()
+            q = np.concatenate([served_queries(table, centres, radii[r], rng), every])
+            assert np.array_equal(row_distances(table, q, r), brute_distances(centres, q)), r
+        assert np.isinf(row_distances(table, every, 1)).all()
 
 
 def brute_blocked(field, x):
