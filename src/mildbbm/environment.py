@@ -189,9 +189,12 @@ class ObstacleField:
         """Finite field from an explicit point list (tests, fixtures).
 
         Every cell not covered by ``points`` is empty.  ``nu`` is kept only
-        for bookkeeping and set to 0.  Every coordinate must be finite.
+        for bookkeeping and set to 0.  ``points`` is an (n, d) array, or a
+        flat list of d = 1 points; every coordinate must be finite.
         """
         pts = np.asarray(points, dtype=float)
+        if pts.ndim > 2:
+            raise ValueError(f"points must be an (n, d) array or a flat list, got shape {pts.shape}")
         if not np.isfinite(pts).all():
             raise ValueError("points must have finite coordinates")
         if pts.size == 0:

@@ -24,10 +24,15 @@ update, so the free times are those of stepping one time step at a time.
 k is chosen so that a block holds at most 16,384 points (at least one
 step), which keeps the sampler's working memory at a few hundred kilobytes
 whatever the horizon.  An add has a fixed cost whatever the block's width,
-so narrow blocks pay more per path-step.  On 2 vCPUs of a shared virtual
-machine (numpy 2.4, BENCH_8.json) a path-step cost 29-34 ns at 512 paths,
-against 33-36 ns with a running sum along time (numpy's ``cumsum``), but
-55-75 ns at 50 paths, against 32-36 ns.
+so narrow blocks pay more per path-step.
+
+The normals come from numpy's ziggurat sampler on an SFC64 bit generator,
+not on numpy's default PCG64: the draws are the largest stage of a
+path-step, and SFC64 fills them about 2 ns a draw faster.  On 2 vCPUs of a
+shared virtual machine (numpy 2.4, BENCH_19.json) a path-step cost about
+20 ns at 512 paths (median 20.2 ns, against 23.7 ns on PCG64): 11.5 ns of
+normal draws, 2.5 ns of adds, 6.2 ns of blocking lookup and 0.3 ns of
+scaling.  At 50 paths it cost 38-67 ns.
 
 Caveat: the estimand averages an exponential whose upper tail (paths that
 stay free for most of [0, t], which become dominant as rare clearings take
@@ -61,6 +66,11 @@ __all__ = [
 _BLOCK_POINTS = 16_384
 
 
+def _path_generator(seed):
+    """The Generator that draws every path increment of one sampler call."""
+    return np.random.Generator(np.random.SFC64(derive_seed(seed, "fk-paths")))
+
+
 @dataclass(frozen=True)
 class FkEstimate:
     """Monte Carlo estimate of the expected total mass at one time.
@@ -84,12 +94,15 @@ def sample_free_times(field, beta, t, dt, n_paths, seed, drift=0.0):
     Returns (free_times, t_eff) where t_eff = round(t/dt) * dt is the exact
     grid horizon; every sample lies in [0, t_eff].
 
-    The paths come from one Generator seeded by ``(seed, "fk-paths")`` and
-    are drawn a whole time-step row at a time, in order.  Neither depends
+    The paths come from one SFC64 Generator seeded by ``(seed, "fk-paths")``
+    and are drawn a whole time-step row at a time, in order.  Neither depends
     on t, so at one seed and dt the paths to t are the first steps of the
     paths to any later horizon: free times at t and 2t satisfy
     free(t) <= free(2t) <= free(t) + t path by path, and estimates at
     several t from one seed have correlated errors.
+
+    A path-step costs about 20 ns at 512 paths, 11.5 ns of it the normal
+    draws (2 vCPUs, numpy 2.4, BENCH_19.json).
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -98,7 +111,7 @@ def sample_free_times(field, beta, t, dt, n_paths, seed, drift=0.0):
     d = field.d
     n_steps = int(round(t / dt))
     t_eff = n_steps * dt
-    rng = np.random.default_rng(derive_seed(seed, "fk-paths"))
+    rng = _path_generator(seed)
     drift_vec = np.atleast_1d(np.asarray(drift, dtype=float))
     if drift_vec.size == 1 and d > 1:
         drift_vec = np.concatenate([drift_vec, np.zeros(d - 1)])

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,13 @@ class TestCreation:
         assert f.cell_size == 0.25 and f.is_blocked(0.5)
         assert f.is_blocked_many(np.array([0.5, 0.79, 0.81])).tolist() == [True, True, False]
         assert ObstacleField.from_points([[0.5]], a=0.3, cell_size=None).cell_size == 1.0
+
+    def test_finite_fields_take_at_most_two_array_dimensions(self):
+        # (2, 1, 1) used to give a d = 1 field and (1, 2, 1) a d = 2 field
+        # whose queries raised IndexError
+        for shape, d in (((2, 1, 1), None), ((1, 2, 1), None), ((0, 1, 1), 1)):
+            with pytest.raises(ValueError, match=re.escape(str(shape))):
+                ObstacleField.from_points(np.zeros(shape), a=0.3, d=d)
 
     def test_record_round_trip(self):
         f = ObstacleField(2, 0.7, 0.4, 99, 1.5)

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as st
 
 from mildbbm.analysis import ModelConstants
 from mildbbm.branching import SimConfig, run_bbm
 from mildbbm.environment import ObstacleField
 from mildbbm.feynman_kac import (
     FkEstimate,
+    _path_generator,
     estimate_annealed_mass,
     estimate_quenched_mass,
     sample_free_times,
@@ -83,7 +85,7 @@ class TestQuenchedEstimator:
 def per_step_free_steps(field, t, dt, n_paths, seed, drift):
     """Reference sampler: one is_blocked_many call and one draw per time step."""
     d = field.d
-    rng = np.random.default_rng(derive_seed(seed, "fk-paths"))
+    rng = _path_generator(seed)
     drift_vec = np.zeros(d)
     drift_vec[: np.size(drift)] = drift
     step_drift = drift_vec[0] * dt if d == 1 else drift_vec * dt
@@ -97,14 +99,24 @@ def per_step_free_steps(field, t, dt, n_paths, seed, drift):
 
 
 class BatchRecorder:
-    """Field wrapper recording the size of every is_blocked_many batch."""
+    """Field wrapper recording a copy of every is_blocked_many batch (the
+    sampler's left endpoints, in time-major order)."""
 
     def __init__(self, field):
-        self.field, self.d, self.sizes = field, field.d, []
+        self.field, self.d, self.points = field, field.d, []
 
     def is_blocked_many(self, xs):
-        self.sizes.append(len(xs))
+        self.points.append(np.array(xs))
         return self.field.is_blocked_many(xs)
+
+    @property
+    def sizes(self):
+        return [len(p) for p in self.points]
+
+    def paths(self, n_paths):
+        """Recorded left endpoints as (steps, n_paths[, d]) positions."""
+        pts = np.concatenate(self.points)
+        return pts.reshape((-1, n_paths) + pts.shape[1:])
 
 
 class TestBlockStepping:
@@ -141,6 +153,28 @@ class TestBlockStepping:
         big = BatchRecorder(ObstacleField(1, 1.0, 0.3, 5, 1.0))
         sample_free_times(big, 1.0, 0.003, 1e-3, 20_000, seed=1)
         assert big.sizes == [20_000] * 3
+
+
+class TestIncrementLaw:
+    # 1,000 steps of 256 paths (blocks of 64 steps): about 2.6e5 increments
+    # per coordinate, where a scale of 0.97 sqrt(dt), or the drift of
+    # (0.8, -0.4) dropped, moves the KS distance well past its 1e-3 level
+    @pytest.mark.parametrize("d, drift", [(1, 0.0), (1, 1.5), (2, 0.0), (2, (0.8, -0.4))])
+    def test_increments_are_independent_gaussians(self, d, drift):
+        t, dt, n_paths = 10.0, 1e-2, 256
+        field = BatchRecorder(ObstacleField(d, 1.0, 0.3, 31, 1.0))
+        sample_free_times(field, 1.0, t, dt, n_paths, seed=3, drift=drift)
+        paths = field.paths(n_paths)
+        assert paths.shape[0] == round(t / dt) and not paths[0].any()
+        mean = np.zeros(d)
+        mean[: np.size(drift)] = drift
+        # standardised per-path increments, one column of (steps - 1, paths) per coordinate
+        z = (np.diff(paths, axis=0).reshape(-1, n_paths, d) - mean * dt) / math.sqrt(dt)
+        for i in range(d):
+            zi = z[..., i]
+            assert st.kstest(zi.ravel(), "norm").pvalue > 1e-3
+            lag1 = np.corrcoef(zi[:-1].ravel(), zi[1:].ravel())[0, 1]
+            assert abs(lag1) < 4 / math.sqrt(zi[1:].size)
 
 
 class TestStreamsAcrossHorizons:
