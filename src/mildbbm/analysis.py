@@ -30,6 +30,7 @@ __all__ = [
     "predicted_log_mass",
     "clearing_radius",
     "confinement_prob_series_1d",
+    "drift_vector",
     "lambda_c_constant_drift",
 ]
 
@@ -251,6 +252,21 @@ def confinement_prob_series_1d(R: float, t: float, n_terms: int | None = None) -
         if term < 1e-16:
             break
     return min(1.0, max(0.0, 4.0 / math.pi * total))
+
+
+def drift_vector(drift, d: int) -> tuple:
+    """A constant drift as a tuple of d finite floats.
+
+    A scalar acts along the first axis; a sequence must have d components.
+    Raises ValueError otherwise, or if a component is NaN or infinite.
+    """
+    try:
+        vec = tuple(float(v) for v in drift)
+    except TypeError:
+        vec = (float(drift),) + (0.0,) * (d - 1)
+    if len(vec) != d or not all(map(math.isfinite, vec)):
+        raise ValueError(f"drift must be a finite scalar or {d} finite components, got {drift!r}")
+    return vec
 
 
 def lambda_c_constant_drift(b) -> float:

@@ -57,8 +57,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .analysis import ModelConstants, lambda_c_constant_drift
-from .environment import ObstacleField, StackedTable, write_header
+from .analysis import ModelConstants, drift_vector, lambda_c_constant_drift
+from .environment import ObstacleField, StackedTable, write_header, write_table
 from .seeds import derive_seed
 
 __all__ = [
@@ -99,29 +99,25 @@ class SimConfig:
     balls: tuple = ()
 
     def __post_init__(self):
-        if not self.t_max > 0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        if not 0 < self.t_max < math.inf:
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         obs = tuple(float(t) for t in self.obs_times)
         if len(obs) == 0:
             raise ValueError("obs_times must not be empty")
+        if not all(map(math.isfinite, obs)):
+            raise ValueError(f"obs_times must be finite, got {obs}")
         if any(b - a <= 0 for a, b in zip(obs, obs[1:])):
             raise ValueError("obs_times must be strictly increasing")
         if obs[0] < 0 or obs[-1] > self.t_max:
             raise ValueError("obs_times must lie within [0, t_max]")
         if self.particle_cap < 1:
             raise ValueError("particle_cap must be >= 1")
+        drift_vector(self.drift, self.mc.d)  # raises unless d finite components
         object.__setattr__(self, "obs_times", obs)
 
     @property
     def drift_vector(self) -> tuple:
-        d = self.mc.d
-        try:
-            vec = tuple(float(v) for v in self.drift)
-        except TypeError:
-            vec = (float(self.drift),) + (0.0,) * (d - 1)
-        if len(vec) != d:
-            raise ValueError(f"drift has dimension {len(vec)}, expected {d}")
-        return vec
+        return drift_vector(self.drift, self.mc.d)
 
 
 @dataclass(frozen=True)
@@ -223,15 +219,9 @@ class GrowthCurve:
 
     def to_csv(self, path, header: str | None = None):
         names = list(self.local_counts)
-        with open(path, "w") as fh:
-            write_header(fh, header)
-            cols = ["t", "count"] + [f"local_{n}" for n in names] + ["M", "r_t"]
-            fh.write(",".join(cols) + "\n")
-            for k, t in enumerate(self.times):
-                row = [f"{t:.12g}", str(int(self.counts[k]))]
-                row += [str(int(self.local_counts[n][k])) for n in names]
-                row += [f"{self.radial_max[k]:.12g}", f"{self.rates[k]:.12g}"]
-                fh.write(",".join(row) + "\n")
+        cols = ["t", "count"] + [f"local_{n}" for n in names] + ["M", "r_t"]
+        locals_ = [self.local_counts[n] for n in names]
+        write_table(path, cols, zip(self.times, self.counts, *locals_, self.radial_max, self.rates), header)
 
 
 class ParticleCapExceeded(RuntimeError):
@@ -895,7 +885,7 @@ def dichotomy_experiment(
         },
         "obs_times": [float(t) for t in obs_times],
         "lambda_c": lam_c,
-        "threshold": 0.5 * float(np.dot(np.atleast_1d(b), np.atleast_1d(b))),
+        "threshold": -lam_c,
         "expected_local_exponent": beta + lam_c,
         "predicted_regime": "growing" if beta + lam_c > 0 else "extinct-like",
         "survival_fraction": survival_fraction,

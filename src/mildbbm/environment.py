@@ -68,6 +68,7 @@ __all__ = [
     "load_points",
     "save_points",
     "write_header",
+    "write_table",
 ]
 
 _POISSON_TAIL = 1e-17
@@ -647,6 +648,18 @@ def write_header(fh, header: str | None):
     """Write each line of ``header`` as a ``# `` comment line; nothing if it is empty."""
     for line in (header or "").splitlines():
         fh.write(f"# {line}\n")
+
+
+def write_table(path, names, rows, header: str | None = None):
+    """CSV table: the ``header`` comment lines, the column ``names``, one line a row.
+
+    Integers are written as they are, every other value as ``%.12g`` (NaN as ``nan``).
+    """
+    with open(path, "w") as fh:
+        write_header(fh, header)
+        fh.write(",".join(names) + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) if isinstance(v, (int, np.integer)) else f"{v:.12g}" for v in row) + "\n")
 
 
 def save_points(path, points, header: str | None = None):

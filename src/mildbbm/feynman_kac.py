@@ -16,11 +16,13 @@ environments gives the annealed expectation.
 The sampler steps all paths together in blocks of k time steps, in one
 buffer of rows allocated per call: row 0 holds the carried positions, and
 a block draws its (k, n_paths[, d]) normals straight into the rows after
-it, adds each row to the one before in place (one vectorised add per time
-step, or two with a drift row between), and makes one ``is_blocked_many``
-call for all k * n_paths left endpoints.  A (k, n) draw fills in the order
-of k draws of (n,), and the adds run in the order of the step-by-step
-update, so the free times are those of stepping one time step at a time.
+it, scales them by sqrt(dt) and adds drift*dt to them (one vectorised op
+each for the whole block), adds each row to the one before in place (one
+vectorised add per time step, drift or not), and makes one
+``is_blocked_many`` call for all k * n_paths left endpoints.  A (k, n)
+draw fills in the order of k draws of (n,), and each step is rounded as
+pos + (sqrt(dt)*N + drift*dt), so the free times are those of stepping
+one time step at a time in that order.
 k is chosen so that a block holds at most 16,384 points (at least one
 step), which keeps the sampler's working memory at a few hundred kilobytes
 whatever the horizon.  An add has a fixed cost whatever the block's width,
@@ -51,7 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import ObstacleField, write_header
+from .analysis import drift_vector
+from .environment import ObstacleField, write_table
 from .seeds import derive_seed
 
 __all__ = [
@@ -99,7 +102,8 @@ def sample_free_times(field, beta, t, dt, n_paths, seed, drift=0.0):
     on t, so at one seed and dt the paths to t are the first steps of the
     paths to any later horizon: free times at t and 2t satisfy
     free(t) <= free(2t) <= free(t) + t path by path, and estimates at
-    several t from one seed have correlated errors.
+    several t from one seed have correlated errors.  ``drift`` is read by
+    :func:`mildbbm.analysis.drift_vector`: a scalar acts along the first axis.
 
     A path-step costs about 20 ns at 512 paths, 11.5 ns of it the normal
     draws (2 vCPUs, numpy 2.4, BENCH_19.json).
@@ -112,37 +116,28 @@ def sample_free_times(field, beta, t, dt, n_paths, seed, drift=0.0):
     n_steps = int(round(t / dt))
     t_eff = n_steps * dt
     rng = _path_generator(seed)
-    drift_vec = np.atleast_1d(np.asarray(drift, dtype=float))
-    if drift_vec.size == 1 and d > 1:
-        drift_vec = np.concatenate([drift_vec, np.zeros(d - 1)])
-    if drift_vec.size != d:
-        raise ValueError(f"drift has dimension {drift_vec.size}, expected {d}")
+    # (d,) broadcasts over a block's (k, n_paths, d) steps, and (1,) over its (k, n_paths)
+    step_drift = np.asarray(drift_vector(drift, d)) * dt
     shape = (n_paths,) if d == 1 else (n_paths, d)
-    step_drift = drift_vec[0] * dt if d == 1 else drift_vec * dt
-    # one row per drift term and per noise term, so that the per-row adds
-    # compute (pos + drift) + noise in the order of a step-by-step update
-    per_step = 2 if np.any(drift_vec) else 1
     sd = math.sqrt(dt)
     # integer step counts, so that a fully free path yields exactly t_eff
     free_steps = np.zeros(n_paths, dtype=np.int64)
     block = max(1, min(_BLOCK_POINTS // n_paths, n_steps))
     # row 0 holds the carried positions, starting at the origin
-    walk = np.zeros((per_step * block + 1,) + shape)
-    noise = np.empty((block,) + shape) if per_step == 2 else walk[1:]
+    walk = np.zeros((block + 1,) + shape)
     for start in range(0, n_steps, block):
         k = min(block, n_steps - start)
-        rows = per_step * k
-        rng.standard_normal(out=noise[:k])
-        np.multiply(noise[:k], sd, out=walk[per_step : rows + 1 : per_step])
-        if per_step == 2:
-            walk[1:rows:2] = step_drift
-        for j in range(1, rows + 1):
+        steps = walk[1 : k + 1]
+        rng.standard_normal(out=steps)
+        steps *= sd
+        if step_drift.any():
+            steps += step_drift
+        for j in range(1, k + 1):
             np.add(walk[j - 1], walk[j], out=walk[j])
-        # rows 0, per_step, ...: the k left endpoints, then the carried position
-        lefts = walk[:rows:per_step]
-        blocked = field.is_blocked_many(lefts.reshape((k * n_paths,) + shape[1:]))
+        # rows 0 .. k-1 are the k left endpoints, row k the carried position
+        blocked = field.is_blocked_many(walk[:k].reshape((k * n_paths,) + shape[1:]))
         free_steps += k - blocked.reshape(k, n_paths).sum(axis=0)
-        walk[0] = walk[rows]
+        walk[0] = walk[k]
     return free_steps * dt, t_eff
 
 
@@ -153,21 +148,24 @@ def _estimate_from_free(free, beta):
     return mean, se
 
 
+def _estimate(t, mean, se, n_paths, n_envs) -> FkEstimate:
+    return FkEstimate(
+        t=t,
+        point_estimate=mean,
+        log_estimate=math.log(mean),
+        std_error=se,
+        n_paths=n_paths,
+        n_environments=n_envs,
+        log_std_error=se / mean,
+    )
+
+
 def estimate_quenched_mass(field, beta, t, dt, n_paths, seed, drift=0.0) -> FkEstimate:
     """Estimate E|Z_t| for one fixed environment."""
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2 to report a standard error")
     free, t_eff = sample_free_times(field, beta, t, dt, n_paths, seed, drift)
-    mean, se = _estimate_from_free(free, beta)
-    return FkEstimate(
-        t=t_eff,
-        point_estimate=mean,
-        log_estimate=math.log(mean),
-        std_error=se,
-        n_paths=n_paths,
-        n_environments=1,
-        log_std_error=se / mean,
-    )
+    return _estimate(t_eff, *_estimate_from_free(free, beta), n_paths, 1)
 
 
 def estimate_annealed_mass(
@@ -195,29 +193,15 @@ def estimate_annealed_mass(
         env = ObstacleField(d, nu, a, derive_seed(seed, "env", e), cell_size)
         free, t_eff = sample_free_times(env, beta, t, dt, n_paths, derive_seed(seed, "paths", e), drift)
         env_means[e], pooled_se = _estimate_from_free(free, beta)
-    mean = float(env_means.mean())
     if n_envs >= 2:
         se = float(env_means.std(ddof=1) / math.sqrt(n_envs))
     else:
         se = pooled_se
-    return FkEstimate(
-        t=t_eff,
-        point_estimate=mean,
-        log_estimate=math.log(mean),
-        std_error=se,
-        n_paths=n_paths,
-        n_environments=n_envs,
-        log_std_error=se / mean,
-    )
+    return _estimate(t_eff, float(env_means.mean()), se, n_paths, n_envs)
 
 
 def write_estimates_csv(path, estimates, header: str | None = None):
     """CSV export: t,estimate,log_estimate,se,n_paths,n_envs."""
-    with open(path, "w") as fh:
-        write_header(fh, header)
-        fh.write("t,estimate,log_estimate,se,n_paths,n_envs\n")
-        for est in estimates:
-            fh.write(
-                f"{est.t:.12g},{est.point_estimate:.12g},{est.log_estimate:.12g},"
-                f"{est.std_error:.12g},{est.n_paths},{est.n_environments}\n"
-            )
+    names = ["t", "estimate", "log_estimate", "se", "n_paths", "n_envs"]
+    rows = ((e.t, e.point_estimate, e.log_estimate, e.std_error, e.n_paths, e.n_environments) for e in estimates)
+    write_table(path, names, rows, header)

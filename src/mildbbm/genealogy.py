@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .environment import write_header
+from .environment import write_table
 from .seeds import derive_seed
 
 __all__ = [
@@ -287,17 +287,9 @@ def martingale_limit_samples(beta, t, runs, seed) -> np.ndarray:
 
 def write_cdf_table(path, law: MrcaLaw, us, header: str | None = None):
     """CSV table ``u,F(u)`` of the MRCA law for plotting."""
-    with open(path, "w") as fh:
-        write_header(fh, header)
-        fh.write("u,F(u)\n")
-        for u in us:
-            fh.write(f"{u:.12g},{mrca_cdf(law, u):.12g}\n")
+    write_table(path, ["u", "F(u)"], ((u, mrca_cdf(law, u)) for u in us), header)
 
 
 def write_pmf_table(path, probs: dict, header: str | None = None):
     """CSV table ``i,p(i)`` for an integer-indexed pmf."""
-    with open(path, "w") as fh:
-        write_header(fh, header)
-        fh.write("i,p(i)\n")
-        for i in sorted(probs):
-            fh.write(f"{i},{probs[i]:.12g}\n")
+    write_table(path, ["i", "p(i)"], ((i, probs[i]) for i in sorted(probs)), header)

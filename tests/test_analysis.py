@@ -21,6 +21,7 @@ from mildbbm.analysis import (
     clearing_radius,
     confinement_prob_series_1d,
     derive_constants,
+    drift_vector,
     lambda_c_constant_drift,
     predicted_log_mass,
     principal_eigenvalue_ball,
@@ -229,6 +230,18 @@ def fd_principal_eigenvalue(b, L, n=6000, iters=1500):
         x = lu.solve(x)
         x /= np.linalg.norm(x)
     return float(x @ (A @ x))
+
+
+class TestDriftVector:
+    def test_scalar_acts_along_the_first_axis(self):
+        assert drift_vector(0.5, 1) == (0.5,)
+        assert drift_vector(np.float64(-0.5), 3) == (-0.5, 0.0, 0.0)
+        assert drift_vector(np.array([0.1, -0.2]), 2) == (0.1, -0.2)
+
+    @pytest.mark.parametrize("drift, d", [((1.0, 2.0), 1), ((1.0,), 2), (math.nan, 1), ((0.0, -math.inf), 2)])
+    def test_wrong_length_or_non_finite_is_refused(self, drift, d):
+        with pytest.raises(ValueError):
+            drift_vector(drift, d)
 
 
 class TestLambdaCDrift:

@@ -67,7 +67,19 @@ class TestConfigValidation:
         cfg = free_config(d=2, drift=(0.1, -0.2))
         assert cfg.drift_vector == (0.1, -0.2)
         with pytest.raises(ValueError):
-            free_config(d=2, drift=(1.0, 2.0, 3.0)).drift_vector
+            free_config(d=2, drift=(1.0, 2.0, 3.0))
+
+    @pytest.mark.parametrize("drift", [math.nan, math.inf, (0.5, -math.inf), (math.nan, 0.0)])
+    def test_non_finite_drift_is_refused_at_construction(self, drift):
+        with pytest.raises(ValueError, match="finite"):
+            free_config(d=np.size(drift), drift=drift)
+
+    @pytest.mark.parametrize("obs, t_max", [((math.nan,), 2.0), ((0.5, math.nan, 1.5), 2.0),
+                                            ((1.0, math.inf), 2.0), ((1.0,), math.inf)])
+    def test_non_finite_times_are_refused(self, obs, t_max):
+        mc = ModelConstants(1, 1.0, 1.0, 0.3)
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(mc=mc, t_max=t_max, obs_times=obs)
 
 
 class TestFreeRun:
@@ -689,6 +701,18 @@ class TestExports:
         assert lines[0] == "# seed=71"
         assert lines[1] == "t,count,local_origin_unit,M,r_t"
         assert len(lines) == 4
+
+    def test_growth_curve_csv_rows(self, tmp_path):
+        # one particle at the origin at t = 0: count 1, local 1, M 0 and no rate
+        ball = Ball("origin_unit", (0.0,), 1.0)
+        curve, _ = run_bbm(free_config(t_max=1.0, obs=(0.0, 1.0), seed=71, balls=(ball,)), None)
+        path = tmp_path / "curve.csv"
+        curve.to_csv(path)
+        lines = path.read_text().splitlines()
+        assert lines[:2] == ["t,count,local_origin_unit,M,r_t", "0,1,1,0,nan"]
+        t, count, local, radial, rate = lines[2].split(",")
+        assert (t, count, local) == ("1", str(curve.counts[1]), str(curve.local_counts["origin_unit"][1]))
+        assert radial == f"{curve.radial_max[1]:.12g}" and rate == f"{curve.rates[1]:.12g}"
 
     def test_genealogy_jsonl(self, tmp_path):
         import json

@@ -88,16 +88,20 @@ class TestGrowthCurve:
             [
                 "growth-curve",
                 "--d", "1", "--nu", "0.8", "--a", "0.3", "--beta", "1",
-                "--t-max", "3", "--obs", "0.75,1.5,2.25,3",
+                "--t-max", "3", "--obs", "0,0.75,1.5,2.25,3",
                 "--replicates", "4", "--seed", "5", "--out", str(out),
             ]
         )
         assert rc == 0
         agg = read(out / "aggregated.csv").splitlines()
         assert agg[1] == "t,mean_count,median_count,mean_r_t,median_r_t,slowdown_diagnostic"
-        assert len(agg) == 6
+        # at t = 0 every run holds its one particle and no rate is defined,
+        # which must not warn (RuntimeWarnings fail the tests)
+        assert agg[2] == "0,1,1,nan,nan,nan"
+        assert len(agg) == 7
         pred = read(out / "predicted.csv").splitlines()
         assert pred[1] == "t,predicted_log_mass_quenched,predicted_log_mass_annealed"
+        assert pred[2] == "0,nan,nan"
         for i in range(4):
             assert (out / f"replicate_{i:04d}.csv").exists()
 
@@ -123,6 +127,17 @@ class TestGrowthCurve:
             ]
         )
         assert rc == 3
+
+    def test_fk_compare_all_truncated_exits_3(self, tmp_path, capsys):
+        rc = main(
+            [
+                "fk-compare",
+                "--empty-env", "--beta", "2", "--t-max", "3", "--cap", "1",
+                "--runs", "3", "--n-paths", "2", "--dt", "0.05", "--seed", "1", "--out", str(tmp_path / "t"),
+            ]
+        )
+        assert rc == 3
+        assert "every branching run hit the particle cap" in capsys.readouterr().err
 
     def test_some_truncated_exits_1(self, tmp_path):
         # a cap of 200 cuts 5 of the 6 replicates: the survivor's curve is
@@ -343,6 +358,13 @@ class TestConfigHandling:
             ["gen-env", "--cell-size", "1e4"],  # Poisson cell mean too large to tabulate
             ["clearing-stats", "--ell", "2"],  # log log ell undefined
             ["growth-curve", "--obs", "1,x"],  # an observation time that is not a number
+            # non-finite drifts and times, with flags that keep a run that
+            # gets past the check short
+            ["growth-curve", "--drift", "nan", "--replicates", "2", "--cap", "50"],
+            ["fk-compare", "--drift", "inf", "--runs", "2", "--n-paths", "2", "--dt", "0.05", "--cap", "50"],
+            ["dichotomy", "--drift", "nan", "--runs", "2", "--t-max", "1", "--cap", "50"],
+            ["growth-curve", "--obs", "nan", "--replicates", "2", "--cap", "50"],
+            ["fk-compare", "--t-max", "inf", "--runs", "2", "--n-paths", "2", "--dt", "0.05", "--cap", "50"],
         ],
     )
     def test_invalid_config_is_refused_before_running(self, tmp_path, args, capsys):

@@ -19,6 +19,7 @@ from mildbbm.environment import (
     largest_clearing,
     load_points,
     save_points,
+    write_table,
 )
 
 
@@ -846,6 +847,17 @@ class TestFixtures:
         save_points(path, pts, header="demo fixture")
         back = load_points(path)
         assert np.array_equal(back, pts)
+
+    def test_table_writes_integers_as_they_are_and_other_values_at_12_digits(self, tmp_path):
+        path = tmp_path / "table.csv"
+        row = (7, np.int64(123456789012345), 0.1 + 0.2, np.float64(2.0) / 3.0, float("nan"))
+        write_table(path, ["a", "b", "c", "d", "e"], [row, (0, 0, 1e-20, 1e20, np.nan)], header="seed=1")
+        assert path.read_text().splitlines() == [
+            "# seed=1",
+            "a,b,c,d,e",
+            "7,123456789012345,0.3,0.666666666667,nan",
+            "0,0,1e-20,1e+20,nan",
+        ]
 
     def test_json_fixture(self, tmp_path):
         path = tmp_path / "pts.json"

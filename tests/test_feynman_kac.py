@@ -83,7 +83,8 @@ class TestQuenchedEstimator:
 
 
 def per_step_free_steps(field, t, dt, n_paths, seed, drift):
-    """Reference sampler: one is_blocked_many call and one draw per time step."""
+    """Reference sampler: one is_blocked_many call and one draw per time step,
+    each step rounded as pos + (sqrt(dt) N + drift dt)."""
     d = field.d
     rng = _path_generator(seed)
     drift_vec = np.zeros(d)
@@ -94,7 +95,7 @@ def per_step_free_steps(field, t, dt, n_paths, seed, drift):
     free = np.zeros(n_paths, dtype=np.int64)
     for _ in range(int(round(t / dt))):
         free += ~field.is_blocked_many(pos)
-        pos = pos + step_drift + math.sqrt(dt) * rng.standard_normal(shape)
+        pos = pos + (math.sqrt(dt) * rng.standard_normal(shape) + step_drift)
     return free
 
 
@@ -122,8 +123,8 @@ class BatchRecorder:
 class TestBlockStepping:
     # (d, drift, n_paths, t, dt): 100 steps of 500 paths are blocks of 32 + 4;
     # 16,500 paths are one step per block; 6,000 steps of 3 paths are blocks
-    # of 5,461 + 539 steps, so a long block's last rows are carried and its
-    # drift rows refilled
+    # of 5,461 + 539 steps, so a long block's last row is carried and a
+    # short block's drift added to its own rows alone
     CASES = [
         (1, 0.0, 500, 0.1, 1e-3),
         (1, 1.5, 500, 0.1, 1e-3),
@@ -229,6 +230,12 @@ class TestHigherDimension:
         still, _ = sample_free_times(field, 1.0, 3.0, 1e-2, 200, seed=13, drift=0.0)
         pushed, _ = sample_free_times(field, 1.0, 3.0, 1e-2, 200, seed=13, drift=2.0)
         assert still.mean() > pushed.mean()
+
+    @pytest.mark.parametrize("d, drift", [(1, math.inf), (1, math.nan), (2, (0.5, math.inf)), (2, (1.0, 2.0, 3.0))])
+    def test_drift_must_be_finite_with_d_components(self, d, drift):
+        # refused by the drift check, not by whatever a non-finite path meets later
+        with pytest.raises(ValueError, match="drift"):
+            sample_free_times(empty_field(d), 1.0, 0.1, 0.01, 4, seed=1, drift=drift)
 
 
 class TestBranchingCrossCheck:
