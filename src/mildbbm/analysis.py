@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 _MAX_DIM = 10
+# most terms confinement_prob_series_1d sums
+_SERIES_TERMS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -223,12 +225,12 @@ def clearing_radius(ell: float, mc: ModelConstants, leading_only: bool = False) 
     return max(0.0, lead - math.log(math.log(ell)) ** 2)
 
 
-def confinement_prob_series_1d(R: float, t: float, n_terms: int | None = None) -> float:
+def confinement_prob_series_1d(R: float, t: float) -> float:
     """P(standard BM started at 0 stays inside (-R, R) up to time t).
 
     Eigenfunction series (4/pi) * sum_k (-1)^k/(2k+1) exp(-(2k+1)^2 pi^2 t / (8 R^2)),
-    truncated once terms drop below 1e-16.  ``n_terms`` caps the number of
-    terms; the default cap is generous enough for t/R^2 >= 1e-6.
+    truncated once terms drop below 1e-16, and after at most
+    ``_SERIES_TERMS`` terms, which is generous enough for t/R^2 >= 1e-6.
     """
     if not R > 0:
         raise ValueError(f"R must be positive, got {R}")
@@ -236,14 +238,13 @@ def confinement_prob_series_1d(R: float, t: float, n_terms: int | None = None) -
         raise ValueError(f"t must be nonnegative, got {t}")
     if t == 0.0:
         return 1.0
-    cap = n_terms if n_terms is not None else 2_000_000
     rate = math.pi**2 * t / (8.0 * R * R)
     if rate < 1e-7:
         # exit probability <= 2 exp(-R^2/(2t)) < 1e-500000 here: exactly 1.0
         # in doubles, and the alternating series would need ~1/sqrt(rate) terms
         return 1.0
     total = 0.0
-    for k in range(cap):
+    for k in range(_SERIES_TERMS):
         term = math.exp(-((2 * k + 1) ** 2) * rate) / (2 * k + 1)
         if k % 2:
             total -= term

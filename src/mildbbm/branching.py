@@ -777,7 +777,6 @@ def dichotomy_experiment(
     ball_radius=1.0,
     particle_cap=8_000_000,
     prune_tol=1e-8,
-    cell_size=None,
     surv_gate=0.05,
 ) -> dict:
     """Survival and local growth of the drifted process in a fixed ball.
@@ -834,7 +833,7 @@ def dichotomy_experiment(
     ball = Ball("target", center, ball_radius)
     lam_c = lambda_c_constant_drift(b)
 
-    fields = [ObstacleField(d, nu, a, derive_seed(seed, "env", i), cell_size) for i in range(runs)]
+    fields = [ObstacleField(d, nu, a, derive_seed(seed, "env", i)) for i in range(runs)]
     config = SimConfig(mc=mc, t_max=t_max, obs_times=obs_times, drift=b, particle_cap=particle_cap, balls=(ball,))
     seeds = [derive_seed(seed, "run", i) for i in range(runs)]
     curves, _, stats = run_batch(config, fields, seeds, focus=(center, ball_radius), prune_tol=prune_tol)

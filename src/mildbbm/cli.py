@@ -7,7 +7,8 @@ growth-curve    replicate obstacle runs; per-replicate and aggregated CSVs
                 plus the predicted quenched/annealed overlay curves
 mrca-test       pair-coalescence law versus simulated pairs (KS gate)
 fk-compare      branching-run mean population versus the path-functional
-                estimate on one fixed environment (combined-SE gate)
+                estimate on one fixed environment (combined-SE gate), and
+                the estimate at dt versus dt/2 (a 2-SE check)
 dichotomy       drifted local growth/extinction experiment, labels checked
                 against the beta = b^2/2 crossover
 clearing-stats  largest grid clearing versus the predicted clearing radius
@@ -22,12 +23,13 @@ Configuration comes from an optional JSON file (--config) overridden by
 flags; statistical gate levels live in the config under "gates" and are
 never hard-coded.  Each subcommand takes the flags and config keys it
 reads, and the gate it reads, as one table (``_COMMANDS``) lists them;
-any other flag, key or gate exits 2.  The environment variable
-MILDBBM_SEED overrides the master seed (flags still win).  The particle
-cap defaults to 2M for every command but dichotomy, which keeps
-dichotomy_experiment's own cap unless the config or --cap sets one.
-Every output file carries a header with the run's config hash and master
-seed.
+any other flag, key or gate exits 2.  No command sets the lattice pitch
+of a field: ``ObstacleField`` works it out from (d, nu, a).  The
+environment variable MILDBBM_SEED overrides the master seed (flags still
+win).  The particle cap defaults to 2M for every command but dichotomy,
+which keeps dichotomy_experiment's own cap unless the config or --cap
+sets one.  Every output file carries a header with the run's config hash
+and master seed.
 
 Exit codes
 ----------
@@ -90,7 +92,6 @@ _DEFAULTS = {
     "replicates": 8,
     "workers": 1,
     "out": "out",
-    "cell_size": None,
     # command extras
     "box_length": 1000.0,
     "resolution": 0.5,
@@ -103,7 +104,6 @@ _DEFAULTS = {
     "prune_tol": 1e-8,
     "ball_radius": 1.0,
     "empty_env": False,
-    "dt_halving": True,
 }
 
 # per-command changes to _DEFAULTS; a cap of None leaves dichotomy_experiment
@@ -172,7 +172,7 @@ def _validate(cfg):
             particle_cap=_DEFAULTS["cap"] if cfg["cap"] is None else cfg["cap"],
             seed=cfg["seed"],
         )
-        ObstacleField(cfg["d"], cfg["nu"], cfg["a"], cfg["seed"], cfg["cell_size"])
+        ObstacleField(cfg["d"], cfg["nu"], cfg["a"], cfg["seed"])
         clearing_radius(cfg["ell"], mc)
         for name in ("dt", "resolution", "ball_radius"):
             if not cfg[name] > 0:
@@ -183,8 +183,8 @@ def _validate(cfg):
                 raise ValueError(f"{name} must be an integer >= {least}, got {cfg[name]}")
         if not cfg["box_length"] >= 0 or not cfg["prune_tol"] >= 0:
             raise ValueError("box_length and prune_tol must be >= 0")
-        if not isinstance(cfg["empty_env"], bool) or not isinstance(cfg["dt_halving"], bool):
-            raise ValueError("empty_env and dt_halving must be true or false")
+        if not isinstance(cfg["empty_env"], bool):
+            raise ValueError(f"empty_env must be true or false, got {cfg['empty_env']!r}")
     except (TypeError, ValueError) as e:
         raise ConfigError(str(e)) from e
 
@@ -229,7 +229,7 @@ def _finite(obj):
 def _campaign_field(cfg) -> ObstacleField:
     if cfg["empty_env"]:
         return ObstacleField.from_points([], a=cfg["a"], d=cfg["d"])
-    return ObstacleField(cfg["d"], cfg["nu"], cfg["a"], cfg["seed"], cfg["cell_size"])
+    return ObstacleField(cfg["d"], cfg["nu"], cfg["a"], cfg["seed"])
 
 
 # runs stepped as one batch, one batch per task, in growth-curve and fk-compare
@@ -291,7 +291,7 @@ def _replicates(cfg, sim, n, field=None):
 def cmd_gen_env(cfg) -> int:
     d = cfg["d"]
     L = float(cfg["box_length"])
-    field = ObstacleField(d, cfg["nu"], cfg["a"], cfg["seed"], cfg["cell_size"])
+    field = ObstacleField(d, cfg["nu"], cfg["a"], cfg["seed"])
     if L > 0:
         pts = field.realize_box([-L / 2.0] * d, [L / 2.0] * d)
     else:
@@ -429,24 +429,16 @@ def cmd_fk_compare(cfg) -> int:
     combined_se = math.hypot(branch_se, est.std_error)
     diff = abs(branch_mean - est.point_estimate)
     gate = cfg["gates"]["se_gate"]
+    half_seed = derive_seed(cfg["seed"], "fk-half")
+    est_half = estimate_quenched_mass(
+        field, cfg["beta"], cfg["t_max"], cfg["dt"] / 2.0, cfg["n_paths"], half_seed, cfg["drift"]
+    )
+    halving_shift = abs(est_half.point_estimate - est.point_estimate)
+    halving_se = math.hypot(est.std_error, est_half.std_error)
+    # an exact estimate (no path ever blocked) has SE 0 at both steps
+    halving_pass = halving_shift < 2.0 * halving_se or halving_shift == 0.0
     # the truncated runs are the heaviest, so the survivors' mean is biased low
-    passed = (diff <= gate * combined_se or diff == 0.0) and truncated == 0
-    halving_shift = None
-    halving_pass = None
-    if cfg["dt_halving"]:
-        est_half = estimate_quenched_mass(
-            field,
-            cfg["beta"],
-            cfg["t_max"],
-            cfg["dt"] / 2.0,
-            cfg["n_paths"],
-            derive_seed(cfg["seed"], "fk-half"),
-            cfg["drift"],
-        )
-        halving_shift = abs(est_half.point_estimate - est.point_estimate)
-        halving_se = math.hypot(est.std_error, est_half.std_error)
-        halving_pass = halving_shift < 2.0 * halving_se
-        passed = passed and halving_pass
+    passed = (diff <= gate * combined_se or diff == 0.0) and truncated == 0 and halving_pass
     os.makedirs(cfg["out"], exist_ok=True)
     write_estimates_csv(os.path.join(cfg["out"], "fk_estimates.csv"), [est], header=_header(cfg))
     report = {
@@ -490,7 +482,6 @@ def cmd_dichotomy(cfg) -> int:
         obs_times=cfg["obs"],
         ball_radius=cfg["ball_radius"],
         prune_tol=cfg["prune_tol"],
-        cell_size=cfg["cell_size"],
         surv_gate=cfg["gates"]["surv_gate"],
         **cap,
     )
@@ -516,7 +507,7 @@ def cmd_clearing_stats(cfg) -> int:
     target = clearing_radius(cfg["ell"], mc)
     radii = []
     for k in range(cfg["n_seeds"]):
-        field = ObstacleField(cfg["d"], cfg["nu"], cfg["a"], derive_seed(cfg["seed"], "clearing", k), cfg["cell_size"])
+        field = ObstacleField(cfg["d"], cfg["nu"], cfg["a"], derive_seed(cfg["seed"], "clearing", k))
         cl = largest_clearing(field, cfg["ell"], cfg["resolution"])
         radii.append(cl.radius)
     radii = np.asarray(radii)
@@ -546,7 +537,7 @@ def cmd_clearing_stats(cfg) -> int:
 
 
 # the config keys the commands share, in the order their flags are listed
-_FIELD = ("d", "nu", "a", "cell_size", "seed", "out")
+_FIELD = ("d", "nu", "a", "seed", "out")
 _RUN = (*_FIELD, "beta", "drift", "t_max", "cap")
 
 # command -> (runner, help, the gate it reads, the config keys it reads); a
@@ -559,7 +550,7 @@ _COMMANDS = {
     "mrca-test": (cmd_mrca_test, "pair-coalescence law validation (KS gate)", "ks_gate",
                   ("beta", "t_max", "seed", "out", "pairs")),
     "fk-compare": (cmd_fk_compare, "branching mean vs path-functional estimate", "se_gate",
-                   (*_RUN, "runs", "workers", "n_paths", "dt", "empty_env", "dt_halving")),
+                   (*_RUN, "runs", "workers", "n_paths", "dt", "empty_env")),
     "dichotomy": (cmd_dichotomy, "drifted local growth/extinction experiment", "surv_gate",
                   (*_RUN, "obs", "runs", "prune_tol", "ball_radius")),
     "clearing-stats": (cmd_clearing_stats, "largest clearing vs predicted radius", "clearing_frac",
@@ -569,9 +560,7 @@ _COMMANDS = {
 # flags that are not "--key" taking a value of the type of the key's default
 _FLAGS = {
     "obs": ("--obs", {"help": "comma-separated observation times"}),
-    "cell_size": ("--cell-size", {"type": float}),
     "empty_env": ("--empty-env", {"action": "store_true", "default": None}),
-    "dt_halving": ("--no-dt-halving", {"action": "store_false", "default": None}),
 }
 
 

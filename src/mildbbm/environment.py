@@ -2,11 +2,13 @@
 
 The obstacle configuration is a Poisson point process of intensity ``nu``
 on all of R^d, each point carrying a closed blocking ball of radius ``a``.
-Space is partitioned into lattice cells of side ``cell_size``; the points of
-every cell are generated on first touch from a counter-based hash of
-(master_seed, cell coordinates).  Regenerating any cell therefore yields
-identical points no matter when, where or in what order it is queried, and
-particles may wander arbitrarily far without a pre-declared bounding box.
+Space is partitioned into lattice cells of side ``cell_size`` (by default
+max(a, 1), halved until a cell holds at most 512 points on average); the
+points of every cell are generated on first touch from a counter-based
+hash of (master_seed, cell coordinates).  Regenerating any cell therefore
+yields identical points no matter when, where or in what order it is
+queried, and particles may wander arbitrarily far without a pre-declared
+bounding box.
 
 There is one hash, vectorised over arrays of cells (``seeds.cell_key_array``),
 and every realisation goes through it.  Each field keys a cache of reach
@@ -72,7 +74,8 @@ __all__ = [
 ]
 
 _POISSON_TAIL = 1e-17
-_MAX_POISSON_TERMS = 4096
+# largest cell mean nu * cell_size^d: e^-mean stays a normal float up to about 708
+_MAX_CELL_MEAN = 512
 
 # reach lists are built in aligned tiles of side s, the largest with
 # (2s)^d <= _QUERY_TILE_CELLS (16 in d = 2): a build hashes the tile widened
@@ -103,28 +106,31 @@ def _poisson_cdf_table(lam: float) -> tuple:
     Stops once the pmf term itself is negligible past the mode; the
     accumulated float sum can stall a few ulps below 1.0.  Built once per
     cell mean and kept for the life of the process: every field of that
-    mean shares the (immutable) table.
+    mean shares the (immutable) table.  A mean above ``_MAX_CELL_MEAN`` is
+    refused: near 745 e^-lam rounds to 0, and the table would put the same
+    count in every cell.
     """
+    if not lam <= _MAX_CELL_MEAN:
+        raise ValueError(f"cell mean nu * cell_size^d = {lam} exceeds {_MAX_CELL_MEAN}; take a smaller cell_size")
     pmf = math.exp(-lam)
     cdf = [pmf]
     k = 0
     while 1.0 - cdf[-1] > _POISSON_TAIL and not (k > lam and pmf < 1e-18):
         k += 1
-        if k >= _MAX_POISSON_TERMS:
-            raise ValueError(
-                f"cell mean {lam} too large; decrease cell_size so that "
-                "nu * cell_size^d stays moderate"
-            )
         pmf *= lam / k
         cdf.append(cdf[-1] + pmf)
     return tuple(cdf)
 
 
-def _checked_cell_size(cell_size, a: float) -> float:
-    """A field's lattice pitch: max(a, 1.0) for None, else ``cell_size``,
+def _checked_cell_size(cell_size, a: float, nu: float, d: int) -> float:
+    """A field's lattice pitch: for None, max(a, 1.0) halved until the cell
+    mean nu * pitch^d is at most ``_MAX_CELL_MEAN``; else ``cell_size``,
     which must be finite and strictly positive."""
     if cell_size is None:
-        return max(a, 1.0)
+        cs = max(a, 1.0)
+        while nu * cs**d > _MAX_CELL_MEAN:
+            cs /= 2.0
+        return cs
     if not (cell_size > 0 and math.isfinite(cell_size)):
         raise ValueError(f"cell_size must be finite and strictly positive, got {cell_size}")
     return float(cell_size)
@@ -163,22 +169,26 @@ class ObstacleField:
     a : blocking ball radius (> 0); blocking is inclusive (closed balls)
     master_seed : integer seed; fields with equal (d, nu, a, seed, cell_size)
         are indistinguishable under any query sequence
-    cell_size : lattice pitch for lazy realisation; defaults to max(a, 1.0)
-        so that a point query touches at most a 3^d cell neighbourhood
+    cell_size : lattice pitch for lazy realisation.  By default it is worked
+        out from (d, nu, a): max(a, 1.0), so that a point query touches at
+        most a 3^d cell neighbourhood, halved until the cell mean
+        nu * cell_size^d is at most 512, where the Poisson table is exact.
+        The pitch leaves the law of the field alone.  An explicit pitch
+        whose cell mean exceeds 512 raises ValueError.
     """
 
     def __init__(self, d, nu, a, master_seed, cell_size=None):
         if int(d) != d or d < 1:
             raise ValueError(f"dimension must be a positive integer, got {d}")
-        if not nu > 0:
-            raise ValueError(f"nu must be strictly positive, got {nu}")
-        if not a > 0:
-            raise ValueError(f"a must be strictly positive, got {a}")
+        if not (nu > 0 and math.isfinite(nu)):
+            raise ValueError(f"nu must be finite and strictly positive, got {nu}")
+        if not (a > 0 and math.isfinite(a)):
+            raise ValueError(f"a must be finite and strictly positive, got {a}")
         self.d = int(d)
         self.nu = float(nu)
         self.a = float(a)
         self.master_seed = int(master_seed)
-        self.cell_size = _checked_cell_size(cell_size, self.a)
+        self.cell_size = _checked_cell_size(cell_size, self.a, self.nu, self.d)
         self._finite = False
         self._cdf = _poisson_cdf_table(self.nu * self.cell_size**self.d)
         self._init_caches()
@@ -210,10 +220,10 @@ class ObstacleField:
         obj.d = pts.shape[1]
         obj.nu = 0.0
         obj.a = float(a)
-        if not obj.a > 0:
-            raise ValueError(f"a must be strictly positive, got {a}")
+        if not (obj.a > 0 and math.isfinite(obj.a)):
+            raise ValueError(f"a must be finite and strictly positive, got {a}")
         obj.master_seed = 0
-        obj.cell_size = _checked_cell_size(cell_size, obj.a)
+        obj.cell_size = _checked_cell_size(cell_size, obj.a, obj.nu, obj.d)
         obj._finite = True
         obj._cdf = None
         obj._points = pts

@@ -9,8 +9,9 @@ a single-particle expectation: the exponential of beta times the time a
 Brownian path spends outside the blocking balls.  This module estimates it
 by plain Monte Carlo over exact-Gaussian-increment paths on a uniform dt
 grid, with the indicator integral discretised by the left-endpoint rule
-(bias is controlled empirically by the mandatory dt-halving check in the
-test suite).  Averaging the quenched estimator over independently drawn
+(bias is controlled empirically by the dt-halving checks of the test suite
+and of ``mildbbm fk-compare``, which compares every estimate with one at
+dt/2).  Averaging the quenched estimator over independently drawn
 environments gives the annealed expectation.
 
 The sampler steps all paths together in blocks of k time steps, in one
@@ -91,11 +92,12 @@ class FkEstimate:
     log_std_error: float
 
 
-def sample_free_times(field, beta, t, dt, n_paths, seed, drift=0.0):
+def sample_free_times(field, t, dt, n_paths, seed, drift=0.0):
     """Free-time samples for n_paths Brownian paths started at the origin.
 
     Returns (free_times, t_eff) where t_eff = round(t/dt) * dt is the exact
-    grid horizon; every sample lies in [0, t_eff].
+    grid horizon; every sample lies in [0, t_eff].  The horizon t must be
+    finite and >= 0, else ValueError.
 
     The paths come from one SFC64 Generator seeded by ``(seed, "fk-paths")``
     and are drawn a whole time-step row at a time, in order.  Neither depends
@@ -108,6 +110,8 @@ def sample_free_times(field, beta, t, dt, n_paths, seed, drift=0.0):
     A path-step costs about 20 ns at 512 paths, 11.5 ns of it the normal
     draws (2 vCPUs, numpy 2.4, BENCH_19.json).
     """
+    if not (t >= 0 and math.isfinite(t)):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if n_paths < 1:
@@ -164,13 +168,11 @@ def estimate_quenched_mass(field, beta, t, dt, n_paths, seed, drift=0.0) -> FkEs
     """Estimate E|Z_t| for one fixed environment."""
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2 to report a standard error")
-    free, t_eff = sample_free_times(field, beta, t, dt, n_paths, seed, drift)
+    free, t_eff = sample_free_times(field, t, dt, n_paths, seed, drift)
     return _estimate(t_eff, *_estimate_from_free(free, beta), n_paths, 1)
 
 
-def estimate_annealed_mass(
-    d, nu, a, beta, t, dt, n_paths, n_envs, seed, drift=0.0, cell_size=None
-) -> FkEstimate:
+def estimate_annealed_mass(d, nu, a, beta, t, dt, n_paths, n_envs, seed, drift=0.0) -> FkEstimate:
     """Estimate the environment-averaged expected mass.
 
     Averages the quenched estimator over ``n_envs`` independently seeded
@@ -190,8 +192,8 @@ def estimate_annealed_mass(
     pooled_se = 0.0
     t_eff = None
     for e in range(n_envs):
-        env = ObstacleField(d, nu, a, derive_seed(seed, "env", e), cell_size)
-        free, t_eff = sample_free_times(env, beta, t, dt, n_paths, derive_seed(seed, "paths", e), drift)
+        env = ObstacleField(d, nu, a, derive_seed(seed, "env", e))
+        free, t_eff = sample_free_times(env, t, dt, n_paths, derive_seed(seed, "paths", e), drift)
         env_means[e], pooled_se = _estimate_from_free(free, beta)
     if n_envs >= 2:
         se = float(env_means.std(ddof=1) / math.sqrt(n_envs))

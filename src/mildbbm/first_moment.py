@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import drift_vector
 from .environment import ObstacleField
 
 __all__ = ["FirstMoment", "expected_mass_1d"]
@@ -214,6 +215,8 @@ def expected_mass_1d(field, beta, times, *, drift=0.0, ball=None, half_width=25.
     obstacles.  ``ball = (center, radius)`` sets S to that open interval;
     None sets S = R, the total mass.  The field is realised on
     [-half_width - a, half_width + a] through :meth:`ObstacleField.realize_box`.
+    ``drift`` is read by :func:`mildbbm.analysis.drift_vector`, which
+    refuses a NaN or infinite drift.
     """
     if field is not None and (not isinstance(field, ObstacleField) or field.d != 1):
         raise ValueError("expected_mass_1d needs a one-dimensional ObstacleField or None")
@@ -228,7 +231,7 @@ def expected_mass_1d(field, beta, times, *, drift=0.0, ball=None, half_width=25.
         ball = (float(ball[0]), float(ball[1]))
         if not (ball[1] > 0 and abs(ball[0]) + ball[1] < half_width):
             raise ValueError(f"ball {ball} must have positive radius and lie inside (-half_width, half_width)")
-    drift = float(drift)
+    drift = drift_vector(drift, 1)[0]
     if abs(drift) * half_width > 600.0:
         raise ValueError("|drift| * half_width must stay below 600 (the solve scales by e^{b x})")
 

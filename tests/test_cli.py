@@ -36,6 +36,17 @@ class TestGenEnv:
         assert "largest_clearing" in summary
         assert read(out / "points.txt").startswith("# spec_sha256=")
 
+    def test_a_dense_field_is_realised(self, tmp_path):
+        # at pitch max(a, 1) = 1 a cell would hold 5000 points on average,
+        # past what the Poisson table takes; the field halves its pitch
+        # four times, to a cell mean of 312.5
+        out = tmp_path / "dense"
+        rc = main(["gen-env", "--nu", "5000", "--a", "0.01", "--box-length", "1", "--out", str(out)])
+        assert rc == 0
+        summary = json.loads(read(out / "env_summary.json"))
+        assert summary["field"]["cell_size"] == 0.0625
+        assert abs(summary["count"] - 5000) < 4 * 5000**0.5
+
     def test_zero_length_box(self, tmp_path):
         out = tmp_path / "env0"
         rc = main(["gen-env", "--box-length", "0", "--seed", "1", "--out", str(out)])
@@ -201,13 +212,25 @@ class TestGates:
         rc = main(
             ["fk-compare", "--d", "1", "--beta", "1", "--t-max", "1.5",
              "--runs", "800", "--n-paths", "400", "--dt", "5e-3",
-             "--empty-env", "--no-dt-halving", "--seed", "6", "--out", str(out)]
+             "--empty-env", "--seed", "6", "--out", str(out)]
         )
         assert rc == 0
         rep = json.loads(read(out / "fk_report.json"))
         assert rep["pass"]
         csv = read(out / "fk_estimates.csv").splitlines()
         assert csv[1] == "t,estimate,log_estimate,se,n_paths,n_envs"
+
+    def test_fk_compare_passes_an_exact_halving_check(self, tmp_path):
+        # with no obstacles both estimates are e^{beta t} with SE 0, so the
+        # shift between dt and dt/2 is 0 and must pass
+        out = tmp_path / "fk"
+        rc = main(
+            ["fk-compare", "--empty-env", "--beta", "1", "--t-max", "1", "--runs", "50",
+             "--n-paths", "4", "--dt", "0.05", "--seed", "3", "--out", str(out)]
+        )
+        rep = json.loads(read(out / "fk_report.json"))
+        assert rep["halving_shift"] == 0.0 and rep["halving_pass"]
+        assert rc == 0
 
     def test_fk_compare_fails_when_some_runs_truncate(self, tmp_path):
         # a cap of 20 cuts 3 of the 400 Yule runs (mean e^1.5 = 4.5): the
@@ -216,7 +239,7 @@ class TestGates:
         rc = main(
             ["fk-compare", "--d", "1", "--beta", "1", "--t-max", "1.5",
              "--runs", "400", "--n-paths", "400", "--dt", "5e-3", "--cap", "20",
-             "--empty-env", "--no-dt-halving", "--seed", "6", "--out", str(out)]
+             "--empty-env", "--seed", "6", "--out", str(out)]
         )
         rep = json.loads(read(out / "fk_report.json"))
         assert 0 < rep["truncated_runs"] < 400
@@ -240,8 +263,7 @@ class TestGates:
     def test_fk_compare_runs_do_not_depend_on_blocks_or_workers(self, tmp_path, monkeypatch):
         from mildbbm import cli
 
-        base = ["fk-compare", "--t-max", "1.5", "--runs", "150", "--n-paths", "200", "--dt", "1e-2",
-                "--no-dt-halving", "--seed", "8"]
+        base = ["fk-compare", "--t-max", "1.5", "--runs", "150", "--n-paths", "200", "--dt", "1e-2", "--seed", "8"]
         outs = {}
         for tag, block, workers in (("w1", 64, 1), ("w2", 64, 2), ("b7", 7, 1)):
             monkeypatch.setattr(cli, "_BLOCK", block)
@@ -355,7 +377,6 @@ class TestConfigHandling:
             ["growth-curve", "--t-max", "2", "--obs", "1,3"],  # observation past the horizon
             ["fk-compare", "--cap", "0"],
             ["fk-compare", "--n-paths", "1"],
-            ["gen-env", "--cell-size", "1e4"],  # Poisson cell mean too large to tabulate
             ["clearing-stats", "--ell", "2"],  # log log ell undefined
             ["growth-curve", "--obs", "1,x"],  # an observation time that is not a number
             # non-finite drifts and times, with flags that keep a run that
@@ -430,7 +451,6 @@ class TestConfigHandling:
             ("growth-curve", {"obs": 3}),  # observation times that are not a list
             ("growth-curve", [1, 2]),  # a config that is not a JSON object
             ("growth-curve", {"gates": 3}),  # gates that are not a JSON object
-            ("fk-compare", {"dt_halving": "false"}),  # a string, which Python reads as true
             ("fk-compare", {"empty_env": 0}),
             ("gen-env", {"seed": 1.5}),  # the field would take seed 1, derive_seed "1.5"
             ("fk-compare", {"seed": True}),
@@ -456,17 +476,17 @@ class TestConfigHandling:
 
 
 # the config keys each command reads; its flags are these keys, and nothing else
-FIELD = ["d", "nu", "a", "cell_size", "seed", "out"]
+FIELD = ["d", "nu", "a", "seed", "out"]
 RUN = FIELD + ["beta", "drift", "t_max", "cap"]
 READS = {
     "gen-env": FIELD + ["box_length", "resolution"],
     "growth-curve": RUN + ["obs", "replicates", "workers"],
     "mrca-test": ["beta", "t_max", "seed", "out", "pairs"],
-    "fk-compare": RUN + ["runs", "workers", "n_paths", "dt", "empty_env", "dt_halving"],
+    "fk-compare": RUN + ["runs", "workers", "n_paths", "dt", "empty_env"],
     "dichotomy": RUN + ["obs", "runs", "prune_tol", "ball_radius"],
     "clearing-stats": FIELD + ["ell", "resolution", "n_seeds"],
 }
-BOOL_FLAGS = {"empty_env": "--empty-env", "dt_halving": "--no-dt-halving"}
+BOOL_FLAGS = {"empty_env": "--empty-env"}
 # flags that keep a command short, had it run
 CHEAP = {
     "gen-env": ["--box-length", "10"],
@@ -493,6 +513,21 @@ class TestOptionTable:
         listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
         assert listed == {flag_args(key)[0] for key in READS[command]}
 
+    def test_readme_lists_each_commands_flags_and_gate(self):
+        import argparse
+        from pathlib import Path
+
+        from mildbbm.cli import _COMMANDS, build_parser
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `([a-z-]+)` \| `(--[^`]*)` \| `?([a-z_]+)`? \|$", readme, re.M)
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(command for command, _, _ in rows) == sorted(sub.choices)
+        for command, flags, gate in rows:
+            parsed = [s for a in sub.choices[command]._actions for s in a.option_strings if s not in ("-h", "--help")]
+            assert flags.split() == parsed, command
+            assert gate == (_COMMANDS[command][2] or "none"), command
+
     @pytest.mark.parametrize("command", sorted(READS))
     def test_a_flag_the_command_does_not_read_exits_2(self, command, capsys):
         from mildbbm.cli import build_parser
@@ -500,7 +535,7 @@ class TestOptionTable:
         every = {key for keys in READS.values() for key in keys}
         for key in READS[command]:
             build_parser().parse_args([command] + flag_args(key))
-        for key in sorted(every - set(READS[command])) + ["n_envs"]:
+        for key in sorted(every - set(READS[command])) + ["n_envs", "cell_size"]:
             with pytest.raises(SystemExit) as exc:
                 build_parser().parse_args([command] + flag_args(key))
             assert exc.value.code == 2, key
@@ -518,6 +553,8 @@ class TestOptionTable:
             ("mrca-test", {"gates": {"ks_gat": 1e-9}}),
             ("mrca-test", {"gates": {"se_gate": 1.0}}),
             ("fk-compare", {"replicates": 2}),
+            ("fk-compare", {"dt_halving": False}),  # the dt/2 check always runs
+            ("gen-env", {"cell_size": 0.5}),  # the field works out its own pitch
             ("fk-compare", {"gates": {"alpha": 0.01}}),
             ("dichotomy", {"workers": 2}),
             ("dichotomy", {"gates": {"ks_gate": 0.5}}),

@@ -57,7 +57,8 @@ def nearest_distances(field, xs):
 
 class TestCreation:
     def test_rejects_bad_params(self):
-        for bad in [dict(nu=0.0), dict(a=-1.0), dict(cell_size=0.0)]:
+        # a non-finite nu or a would never let the default pitch settle
+        for bad in [dict(nu=0.0), dict(a=-1.0), dict(cell_size=0.0), dict(nu=math.inf), dict(a=math.inf)]:
             kw = dict(d=1, nu=1.0, a=0.2, master_seed=1, cell_size=1.0)
             kw.update(bad)
             with pytest.raises(ValueError):
@@ -74,6 +75,9 @@ class TestCreation:
         for pts in ([[float("nan")]], [[float("inf"), 0.0]], [[0.0, 0.0], [1.0, -float("inf")]]):
             with pytest.raises(ValueError, match="finite"):
                 ObstacleField.from_points(pts, a=0.3)
+        # an infinite radius used to give an infinite pitch, on which a query raised
+        with pytest.raises(ValueError, match="finite"):
+            ObstacleField.from_points([[0.5]], a=math.inf)
         f = ObstacleField.from_points([[0.5]], a=0.3, cell_size=0.25)
         assert f.cell_size == 0.25 and f.is_blocked(0.5)
         assert f.is_blocked_many(np.array([0.5, 0.79, 0.81])).tolist() == [True, True, False]
@@ -97,6 +101,30 @@ class TestCreation:
     def test_huge_cell_mean_rejected(self):
         with pytest.raises(ValueError):
             ObstacleField(1, 5000.0, 0.2, 1, 10.0)
+
+    def test_an_explicit_pitch_above_the_largest_cell_mean_is_refused(self):
+        with pytest.raises(ValueError, match="cell mean"):
+            ObstacleField(1, 513.0, 0.3, 1, 1.0)
+        assert ObstacleField(1, 512.0, 0.3, 1, 1.0).cell_size == 1.0
+
+    @pytest.mark.parametrize("d, nu, a", [(2, 0.5, 0.3), (1, 1.0, 0.3), (1, 0.5, 0.3), (1, 1.0, 0.1), (1, 0.5, 2.0)])
+    def test_moderate_fields_keep_the_pitch_max_a_1(self, d, nu, a):
+        # the first four are the fields of the benchmark's growth, fk,
+        # dichotomy and campaign workloads
+        assert ObstacleField(d, nu, a, 1).cell_size == max(a, 1.0)
+
+    def test_a_dense_field_halves_its_pitch_and_keeps_poisson_counts(self):
+        # at pitch max(a, 1) = 1 the cell mean would be 1000, whose e^-1000
+        # rounds to 0, and every unit box would hold the same count
+        f = ObstacleField(1, 1000.0, 0.001, 5)
+        assert f.cell_size == 0.5
+        n = 200
+        pts = f.realize_box([0.0], [float(n)])[:, 0]
+        counts = np.bincount(np.floor(pts).astype(int), minlength=n)
+        # Poisson counts: sum (c - mean)^2 / mean is about chi-square(n - 1)
+        dispersion = float(((counts - counts.mean()) ** 2).sum() / counts.mean())
+        assert st.chi2.ppf(1e-3, n - 1) < dispersion < st.chi2.ppf(1 - 1e-3, n - 1)
+        assert abs(counts.mean() - 1000.0) < 4.0 * math.sqrt(1000.0 / n)
 
     def test_fields_of_one_cell_mean_share_one_poisson_table(self):
         f, g = ObstacleField(1, 0.5, 0.3, 1), ObstacleField(1, 0.5, 0.8, 2)
@@ -434,7 +462,7 @@ class TestBlockingTable:
         from mildbbm.feynman_kac import sample_free_times
 
         f = ObstacleField(1, 1.0, 0.3, 2718, 1.0)
-        sample_free_times(f, 1.0, 10.0, 1e-3, 512, seed=3)
+        sample_free_times(f, 10.0, 1e-3, 512, seed=3)
         # each rebuild at least doubles the width, and the first box is at
         # least 2 * (margin + pad) = 12 wide
         table = f._table

@@ -43,6 +43,16 @@ class TestQuenchedEstimator:
         assert est.point_estimate == 1.0
         assert est.std_error == 0.0
 
+    @pytest.mark.parametrize("t", [-1.0, math.inf, math.nan])
+    def test_horizon_must_be_finite_and_non_negative(self, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            sample_free_times(empty_field(), t, 0.01, 4, seed=1)
+        with pytest.raises(ValueError, match="t must be finite"):
+            estimate_quenched_mass(empty_field(), 1.0, t, 0.01, 4, seed=1)
+        # t = 0 stays valid: no step, no free time
+        free, t_eff = sample_free_times(empty_field(), 0.0, 0.01, 4, seed=1)
+        assert t_eff == 0.0 and not free.any()
+
     def test_bounds_hold(self):
         field = ObstacleField(1, 0.7, 0.3, 55, 1.0)
         for s in range(5):
@@ -55,8 +65,8 @@ class TestQuenchedEstimator:
         seeds = dict(d=1, nu=0.6, master_seed=88, cell_size=1.0)
         small = ObstacleField(a=0.2, **seeds)
         large = ObstacleField(a=0.4, **seeds)
-        f_small, _ = sample_free_times(small, 1.0, 2.0, 1e-3, 300, seed=4)
-        f_large, _ = sample_free_times(large, 1.0, 2.0, 1e-3, 300, seed=4)
+        f_small, _ = sample_free_times(small, 2.0, 1e-3, 300, seed=4)
+        f_large, _ = sample_free_times(large, 2.0, 1e-3, 300, seed=4)
         assert np.all(f_large <= f_small + 1e-12)
 
     def test_monotone_in_intensity_by_superposition(self):
@@ -70,8 +80,8 @@ class TestQuenchedEstimator:
             def is_blocked_many(self, xs):
                 return base.is_blocked_many(xs) | extra.is_blocked_many(xs)
 
-        f_base, _ = sample_free_times(base, 1.0, 2.0, 1e-3, 300, seed=5)
-        f_union, _ = sample_free_times(Union(), 1.0, 2.0, 1e-3, 300, seed=5)
+        f_base, _ = sample_free_times(base, 2.0, 1e-3, 300, seed=5)
+        f_union, _ = sample_free_times(Union(), 2.0, 1e-3, 300, seed=5)
         assert np.all(f_union <= f_base + 1e-12)
 
     def test_dt_halving_consistency(self):
@@ -141,7 +151,7 @@ class TestBlockStepping:
         # dense enough that short paths meet both free and blocked ground
         nu = 3.0 if d == 1 else 2.0
         field = ObstacleField(d, nu, 0.3, 4242, 1.0)
-        free, _ = sample_free_times(field, 1.0, t, dt, n_paths, seed=17, drift=drift)
+        free, _ = sample_free_times(field, t, dt, n_paths, seed=17, drift=drift)
         ref = per_step_free_steps(ObstacleField(d, nu, 0.3, 4242, 1.0), t, dt, n_paths, 17, drift)
         assert np.array_equal(free, ref * dt)
         # the field blocks some steps and frees others, so the check has teeth
@@ -149,10 +159,10 @@ class TestBlockStepping:
 
     def test_blocks_hold_at_most_16384_points(self):
         field = BatchRecorder(ObstacleField(1, 1.0, 0.3, 5, 1.0))
-        sample_free_times(field, 1.0, 0.1, 1e-3, 500, seed=1)
+        sample_free_times(field, 0.1, 1e-3, 500, seed=1)
         assert field.sizes == [16_000, 16_000, 16_000, 2_000]
         big = BatchRecorder(ObstacleField(1, 1.0, 0.3, 5, 1.0))
-        sample_free_times(big, 1.0, 0.003, 1e-3, 20_000, seed=1)
+        sample_free_times(big, 0.003, 1e-3, 20_000, seed=1)
         assert big.sizes == [20_000] * 3
 
 
@@ -164,7 +174,7 @@ class TestIncrementLaw:
     def test_increments_are_independent_gaussians(self, d, drift):
         t, dt, n_paths = 10.0, 1e-2, 256
         field = BatchRecorder(ObstacleField(d, 1.0, 0.3, 31, 1.0))
-        sample_free_times(field, 1.0, t, dt, n_paths, seed=3, drift=drift)
+        sample_free_times(field, t, dt, n_paths, seed=3, drift=drift)
         paths = field.paths(n_paths)
         assert paths.shape[0] == round(t / dt) and not paths[0].any()
         mean = np.zeros(d)
@@ -186,8 +196,8 @@ class TestStreamsAcrossHorizons:
         # at t and 2t differ path by path by the free time in (t, 2t] only
         field = ObstacleField(d, 1.0, 0.3, derive_seed(7, "env", 0))
         t, dt = 0.5, 1e-3
-        short, t_eff = sample_free_times(field, 1.0, t, dt, 8, seed=11)
-        long, _ = sample_free_times(field, 1.0, 2 * t, dt, 8, seed=11)
+        short, t_eff = sample_free_times(field, t, dt, 8, seed=11)
+        long, _ = sample_free_times(field, 2 * t, dt, 8, seed=11)
         steps = round(t / dt)
         grown = np.rint(long / dt).astype(int) - np.rint(short / dt).astype(int)
         assert ((grown >= 0) & (grown <= steps)).all()
@@ -227,15 +237,15 @@ class TestHigherDimension:
     def test_drift_shifts_paths(self):
         # a field far to the right blocks drifted paths but not driftless ones
         field = ObstacleField.from_points([[6.0]], a=2.0, d=1)
-        still, _ = sample_free_times(field, 1.0, 3.0, 1e-2, 200, seed=13, drift=0.0)
-        pushed, _ = sample_free_times(field, 1.0, 3.0, 1e-2, 200, seed=13, drift=2.0)
+        still, _ = sample_free_times(field, 3.0, 1e-2, 200, seed=13, drift=0.0)
+        pushed, _ = sample_free_times(field, 3.0, 1e-2, 200, seed=13, drift=2.0)
         assert still.mean() > pushed.mean()
 
     @pytest.mark.parametrize("d, drift", [(1, math.inf), (1, math.nan), (2, (0.5, math.inf)), (2, (1.0, 2.0, 3.0))])
     def test_drift_must_be_finite_with_d_components(self, d, drift):
         # refused by the drift check, not by whatever a non-finite path meets later
         with pytest.raises(ValueError, match="drift"):
-            sample_free_times(empty_field(d), 1.0, 0.1, 0.01, 4, seed=1, drift=drift)
+            sample_free_times(empty_field(d), 0.1, 0.01, 4, seed=1, drift=drift)
 
 
 class TestBranchingCrossCheck:

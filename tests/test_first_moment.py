@@ -115,3 +115,10 @@ class TestValidation:
     def test_spacing_must_fit(self):
         with pytest.raises(ValueError):
             expected_mass_1d(None, 1.0, (1.0,), half_width=1.0, dx=2.0)
+
+    @pytest.mark.parametrize("drift", [float("nan"), float("inf")])
+    def test_drift_must_be_finite(self, drift):
+        # read by analysis.drift_vector, not float(): a NaN drift must not
+        # give a FirstMoment that is NaN throughout
+        with pytest.raises(ValueError, match="finite"):
+            expected_mass_1d(None, 1.0, (1.0,), drift=drift)
