@@ -53,7 +53,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,6 +138,8 @@ _KINDS = ("birth-root", "branch", "candidate-rejected", "observed")
 _ROOT, _BRANCH, _REJECTED, _OBSERVED = range(4)
 # the kind of a decided candidate, indexed by whether it split
 _DECIDED = np.array([_REJECTED, _BRANCH], dtype=np.int8)
+# records a log turns into Python objects at once while it is iterated
+_BLOCK = 1024
 
 
 class GenealogyLog:
@@ -146,7 +148,8 @@ class GenealogyLog:
     ``_columns()`` gives arrays of event time, particle id, kind (an index
     into ``_KINDS``), position (n, d) and parent id (-1 for the root), sorted
     stably by event time.  :class:`LogRecord` objects are built only when
-    the log is iterated or exported.
+    the log is iterated or exported, and then ``_BLOCK`` records at a time:
+    a reader holds one block of Python objects, not the whole log.
 
     Branch events are strictly dyadic; the two children of a branching
     particle appear in later records carrying its id as ``parent_id``.
@@ -188,16 +191,19 @@ class GenealogyLog:
         return sum(len(c[0]) for c in self._chunks)
 
     def __iter__(self):
-        time, ids, kind, pos, parents = (c.tolist() for c in self._columns())
-        for t, i, k, x, par in zip(time, ids, kind, pos, parents):
-            yield LogRecord(t, i, _KINDS[k], tuple(x), None if par < 0 else par)
+        cols = self._columns()
+        for start in range(0, len(cols[0]), _BLOCK):
+            time, ids, kind, pos, parents = (c[start : start + _BLOCK].tolist() for c in cols)
+            for t, i, k, x, par in zip(time, ids, kind, pos, parents):
+                yield LogRecord(t, i, _KINDS[k], tuple(x), None if par < 0 else par)
 
     def to_jsonl(self, path, header: str | None = None):
-        """Line-delimited JSON export, one record per line."""
+        """Line-delimited JSON export, one record per line, its fields in
+        :class:`LogRecord`'s order; read one block of records at a time."""
         with open(path, "w") as fh:
             write_header(fh, header)
             for r in self:
-                fh.write(json.dumps(asdict(r)) + "\n")
+                fh.write(json.dumps(vars(r)) + "\n")
 
 
 @dataclass
@@ -248,6 +254,20 @@ def _curve(config, counts, radial, local):
     return GrowthCurve(times=times, counts=counts, local_counts=locals_, radial_max=radial, rates=rates)
 
 
+def _median(values):
+    """``np.median(values, axis=0)``, from a sort; NaN for no values.
+
+    For values without NaN.  ``np.median`` checks for a masked array, and
+    that check imports ``numpy.ma`` (about 1.2 MB) into the process.
+    """
+    s = np.sort(np.asarray(values, dtype=float), axis=0)
+    n = len(s)
+    if n == 0:
+        return np.full(s.shape[1:], np.nan)[()]
+    mid = n // 2
+    return s[mid] if n % 2 else (s[mid - 1] + s[mid]) / 2
+
+
 # rows per block in the steps whose temporaries grow with the population
 _CHUNK = 1 << 16
 # rows a batch holds before its heaviest run is set aside and finished alone
@@ -295,7 +315,7 @@ def _table_asker(fields):
     index = {}
     row_of = np.asarray([index.setdefault(id(f), len(index)) for f in fields])
     table = StackedTable(list({id(f): f for f in fields}.values()))
-    return (lambda p, run: table.is_blocked(p[:, 0], row_of[run])), table
+    return (lambda p, run: table._lookup(p[:, 0], row_of[run])), table
 
 
 def _blocked(ask, p, run):
@@ -847,7 +867,7 @@ def dichotomy_experiment(
     n_ok = len(counts)
     if n_ok:
         survival_fraction = float((counts[:, -1] > 0).mean())
-        median_counts, mean_counts = np.median(counts, axis=0), counts.mean(axis=0)
+        median_counts, mean_counts = _median(counts), counts.mean(axis=0)
         mean_se = counts.std(axis=0, ddof=1) / math.sqrt(n_ok) if n_ok > 1 else np.full(len(obs_times), np.nan)
     else:
         survival_fraction = float("nan")

@@ -61,6 +61,7 @@ from .analysis import ModelConstants, clearing_radius, predicted_log_mass
 from .branching import (
     Ball,
     SimConfig,
+    _median,
     dichotomy_experiment,
     run_batch,
     run_bbm,  # noqa: F401  not called here; perfbench's tracer test reads cli.run_bbm
@@ -187,6 +188,8 @@ def _validate(cfg):
             raise ValueError(f"empty_env must be true or false, got {cfg['empty_env']!r}")
     except (TypeError, ValueError) as e:
         raise ConfigError(str(e)) from e
+    except ArithmeticError as e:
+        raise ConfigError(f"{type(e).__name__} from the config's values: {e}") from e
 
 
 def _spec_hash(cfg: dict) -> str:
@@ -351,10 +354,10 @@ def cmd_growth_curve(cfg) -> int:
     agg, predicted = [], []
     for k, t in enumerate(ts):
         rate = rates[:, k]
-        # every rate at t = 0 is NaN, and nanmean and nanmedian warn of that
-        mean_rt, median_rt = (float(np.nanmean(rate)), np.nanmedian(rate)) if t > 0 else (nan, nan)
+        # every rate at t = 0 is NaN, and nanmean warns of that
+        mean_rt, median_rt = (float(np.nanmean(rate)), _median(rate[~np.isnan(rate)])) if t > 0 else (nan, nan)
         diag = math.log(t) ** (2.0 / cfg["d"]) * (mean_rt - cfg["beta"]) if t > 1 else nan
-        agg.append((t, counts[:, k].mean(), np.median(counts[:, k]), mean_rt, median_rt, diag))
+        agg.append((t, counts[:, k].mean(), _median(counts[:, k]), mean_rt, median_rt, diag))
         q = predicted_log_mass(mc, t, "quenched") if t > 1 else nan
         an = predicted_log_mass(mc, t, "annealed") if t > 0 else nan
         predicted.append((t, q, an))
@@ -521,7 +524,7 @@ def cmd_clearing_stats(cfg) -> int:
         "predicted_radius": target,
         "fraction_reaching": frac,
         "gate": gate,
-        "median_radius": float(np.median(radii)),
+        "median_radius": float(_median(radii)),
         "min_radius": float(radii.min()),
         "pass": bool(passed),
     }
@@ -584,12 +587,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args)
+        return _COMMANDS[args.command][0](_load_config(args))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    try:
-        return _COMMANDS[args.command][0](cfg)
     except Exception:
         traceback.print_exc()
         print("internal fault or i/o failure (traceback above)", file=sys.stderr)

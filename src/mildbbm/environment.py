@@ -438,19 +438,30 @@ class StackedTable:
         """``fields[rows[i]].is_blocked(xs[i])`` for every i, as one bool
         array; row 0 for every point when ``rows`` is None.
 
-        ``xs`` has shape (n,) or (n, 1), and ``rows`` n entries; any other
-        shape raises ValueError.  A query closer than ``margin`` to the
-        box's edge first grows the box.  The first box is the queries'
-        range widened by ``margin + pad``; a later one extends each side
-        that must grow by at least the box's width, so a region of width W
-        costs O(log W) builds.
+        ``xs`` has shape (n,) or (n, 1), and ``rows`` n entries in
+        ``0 ... len(fields) - 1``; any other shape or row raises ValueError.
+        A query closer than ``margin`` to the box's edge first grows the
+        box.  The first box is the queries' range widened by ``margin +
+        pad``; a later one extends each side that must grow by at least the
+        box's width, so a region of width W costs O(log W) builds.
         """
         xs = np.asarray(xs, dtype=float)
         if not (xs.ndim == 1 or xs.ndim == 2 and xs.shape[1] == 1):
             raise _shape_error(1, xs, bulk=True)
         xs = xs.reshape(-1)
-        if rows is not None and len(rows) != len(xs):
-            raise ValueError(f"{len(xs)} query points need as many rows, got {len(rows)}")
+        if rows is not None:
+            rows = np.asarray(rows)
+            if len(rows) != len(xs):
+                raise ValueError(f"{len(xs)} query points need as many rows, got {len(rows)}")
+            # numpy would read row -1 as the last row
+            if len(rows) and not (0 <= rows.min() and rows.max() < len(self.fields)):
+                raise ValueError(f"rows must lie in 0 ... {len(self.fields) - 1}, got {rows.min()} ... {rows.max()}")
+        return self._lookup(xs, rows)
+
+    def _lookup(self, xs, rows):
+        """``is_blocked`` without its checks: ``xs`` of shape (n,), and
+        ``rows`` None or n integer rows of the table.  The engine's batch
+        asker calls it with rows it built in range."""
         if len(xs) == 0:
             return np.zeros(0, dtype=bool)
         lo, hi, m = float(xs.min()), float(xs.max()), self.margin

@@ -1,8 +1,14 @@
 """Engine: thinning exactness, genealogy invariants, coupling, the first moment."""
 
+import json
 import math
 import operator
-from dataclasses import replace
+import os
+import subprocess
+import sys
+import tracemalloc
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -684,10 +690,39 @@ class TestDichotomyExperiment:
         assert rep["slope"] is not None and rep["slope"] > 0.3
 
     def test_report_is_json_ready(self):
-        import json
-
         rep = dichotomy_experiment(1.0, 0.3, 0.5, 0.3, 6.0, 5, seed=63)
         json.dumps(rep)
+
+
+class TestMedian:
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 101])
+    def test_equals_numpy_median(self, n):
+        rng = np.random.default_rng(n)
+        counts = rng.integers(0, 50, size=(n, 4))  # ties included
+        assert np.array_equal(branching._median(counts), np.median(counts, axis=0))
+        radii = rng.exponential(size=n)
+        assert branching._median(radii) == np.median(radii)
+
+    def test_no_values_give_nan(self):
+        assert math.isnan(branching._median(np.empty(0)))
+        assert np.isnan(branching._median(np.empty((0, 3)))).all()
+
+    def test_campaigns_do_not_import_numpy_ma(self, tmp_path):
+        # np.median's masked-array check imports numpy.ma; the campaigns take medians without it
+        code = f"""
+import sys
+from mildbbm.branching import dichotomy_experiment
+from mildbbm.cli import main
+dichotomy_experiment(1.0, 0.8, 0.5, 0.3, 2.0, 5, seed=1, prune_tol=1e-8)
+assert main(["growth-curve", "--d", "1", "--t-max", "2", "--replicates", "4", "--out", {str(tmp_path / "g")!r}]) == 0
+assert main(["clearing-stats", "--d", "1", "--ell", "50", "--n-seeds", "3", "--out", {str(tmp_path / "c")!r}]) == 0
+print("numpy.ma" in sys.modules)
+"""
+        src = str(Path(branching.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
 
 
 class TestExports:
@@ -715,11 +750,65 @@ class TestExports:
         assert radial == f"{curve.radial_max[1]:.12g}" and rate == f"{curve.rates[1]:.12g}"
 
     def test_genealogy_jsonl(self, tmp_path):
-        import json
-
         _, log = run_bbm(free_config(t_max=1.0, seed=72), None)
         path = tmp_path / "log.jsonl"
         log.to_jsonl(path)
         recs = [json.loads(line) for line in path.read_text().splitlines()]
         assert recs[0]["kind"] == "birth-root"
         assert set(recs[0]) == {"event_time", "particle_id", "kind", "position", "parent_id"}
+
+
+def synthetic_log(n, d=2, seed=0):
+    """A log of n records with random times, kinds, positions and parents."""
+    rng = np.random.default_rng(seed)
+    log = branching.GenealogyLog()
+    ids = np.arange(n, dtype=np.int64)
+    parents = np.where(rng.random(n) < 0.5, ids - 1, -1)
+    log._add(rng.random(n) * 10, ids, rng.integers(0, 4, n).astype(np.int8), rng.normal(size=(n, d)), parents)
+    return log
+
+
+def whole_log_records(log):
+    """Every record of a log, from its columns converted all at once."""
+    time, ids, kind, pos, parents = (c.tolist() for c in log._columns())
+    return [
+        branching.LogRecord(t, i, branching._KINDS[k], tuple(x), None if par < 0 else par)
+        for t, i, k, x, par in zip(time, ids, kind, pos, parents)
+    ]
+
+
+class TestLogReading:
+    """A log is read one block of ``_BLOCK`` records at a time."""
+
+    def test_many_blocks(self):
+        field = ObstacleField(2, 0.5, 0.3, 5)
+        _, log = run_bbm(free_config(t_max=8.0, obs=(4.0, 8.0), seed=7, d=2), field)
+        assert len(log) > 3 * branching._BLOCK
+        assert {r.kind for r in log} == set(branching._KINDS)
+        assert list(log) == log.records == whole_log_records(log)
+
+    @pytest.mark.parametrize("n", [0, 1, branching._BLOCK - 1, branching._BLOCK, branching._BLOCK + 1])
+    def test_block_edges(self, n):
+        log = synthetic_log(n)
+        assert len(list(log)) == n
+        assert list(log) == whole_log_records(log)
+
+    def test_jsonl_matches_asdict(self, tmp_path):
+        _, log = run_bbm(free_config(t_max=8.0, obs=(4.0, 8.0), seed=6, d=2), ObstacleField(2, 0.5, 0.3, 5))
+        assert len(log) > branching._BLOCK
+        path = tmp_path / "log.jsonl"
+        log.to_jsonl(path, header="seed=6")
+        reference = "# seed=6\n" + "".join(json.dumps(asdict(r)) + "\n" for r in whole_log_records(log))
+        assert path.read_text() == reference
+
+    def test_iteration_memory_is_one_block(self):
+        # the whole log as Python objects takes about 7 MB; one block about 0.25 MB
+        log = synthetic_log(30_000)
+        next(iter(log))  # sorts the columns before the trace starts
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in log) == 30_000
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6

@@ -407,6 +407,27 @@ class TestConfigHandling:
         assert "Traceback" in err and "could not be broadcast" in err
         assert "config error" not in err
 
+    def test_arithmetic_error_in_config_exits_2(self, tmp_path, capsys):
+        # a cell of side max(a, 1) = 1e200 has a volume past the float range
+        out = tmp_path / "never"
+        assert main(["gen-env", "--d", "2", "--a", "1e200", "--box-length", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: OverflowError")
+        assert not out.exists()
+
+    def test_fault_while_loading_config_exits_4(self, tmp_path, monkeypatch, capsys):
+        from mildbbm import cli
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("clearing radius table missing")
+
+        monkeypatch.setattr(cli, "clearing_radius", broken)
+        out = tmp_path / "never"
+        assert main(["gen-env", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "table missing" in err
+        assert "config error" not in err
+        assert not out.exists()
+
     def test_campaign_builds_one_field_in_process(self, tmp_path, monkeypatch):
         from mildbbm import cli
 

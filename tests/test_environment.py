@@ -358,6 +358,11 @@ class TestQueryShapes:
         for bad in (rows[:2], np.zeros(4, dtype=np.intp)):
             with pytest.raises(ValueError, match="rows"):
                 table.is_blocked(xs, bad)
+        # numpy would read row -1 as the last row and row -n as row 0
+        n = len(fields)
+        for bad in ([-1, 0, 1], [0, n, 1], [2, -n, 2]):
+            with pytest.raises(ValueError, match=rf"rows must lie in 0 \.\.\. {n - 1}"):
+                table.is_blocked(xs, np.array(bad))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_scalar_queries_take_one_point_of_the_fields_dimension(self, d):
