@@ -37,7 +37,7 @@ print("  verified on [7, 8), [-3, -2), [0, 1)")
 print()
 mc = ModelConstants(1, nu, 1.0, a)
 for ell in (100.0, 1000.0, 5000.0):
-    cl = largest_clearing(field, ell, resolution=0.05)
+    cl = largest_clearing(field, ell)
     rho = clearing_radius(ell, mc)
     print(f"largest clearing within |x| <= {ell:>6.0f}: radius {cl.radius:.3f} "
           f"at x = {cl.center[0]:+.2f}   (predicted floor rho(ell) = {rho:.3f})")

@@ -11,8 +11,8 @@ fk-compare      branching-run mean population versus the path-functional
                 the estimate at dt versus dt/2 (a 2-SE check)
 dichotomy       drifted local growth/extinction experiment, labels checked
                 against the beta = b^2/2 crossover
-clearing-stats  largest grid clearing versus the predicted clearing radius
-                across seeds (fraction gate)
+clearing-stats  largest clearing (found to within 1e-9) versus the predicted
+                clearing radius across seeds (fraction gate)
 
 growth-curve and fk-compare step their runs in batches of 64 run indices
 (``run_batch``), one batch per task; run i keeps its seed
@@ -95,7 +95,6 @@ _DEFAULTS = {
     "out": "out",
     # command extras
     "box_length": 1000.0,
-    "resolution": 0.5,
     "ell": 10_000.0,
     "n_seeds": 100,
     "pairs": 20_000,
@@ -175,7 +174,7 @@ def _validate(cfg):
         )
         ObstacleField(cfg["d"], cfg["nu"], cfg["a"], cfg["seed"])
         clearing_radius(cfg["ell"], mc)
-        for name in ("dt", "resolution", "ball_radius"):
+        for name in ("dt", "ball_radius"):
             if not cfg[name] > 0:
                 raise ValueError(f"{name} must be positive, got {cfg[name]}")
         counts = (("replicates", 1), ("workers", 1), ("runs", 1), ("pairs", 1), ("n_seeds", 1), ("n_paths", 2))
@@ -309,7 +308,7 @@ def cmd_gen_env(cfg) -> int:
         "density_estimate": float(len(pts) / L**d) if L > 0 else None,
     }
     if L > 0 and len(pts):
-        cl = largest_clearing(field, L / 2.0, max(L / 2000.0, cfg["resolution"]))
+        cl = largest_clearing(field, L / 2.0)
         summary["largest_clearing"] = {"center": list(cl.center), "radius": cl.radius}
     _write_report(cfg, "env_summary.json", summary)
     print(f"gen-env: {summary['count']} points in box of length {L} -> {points_path}")
@@ -511,7 +510,7 @@ def cmd_clearing_stats(cfg) -> int:
     radii = []
     for k in range(cfg["n_seeds"]):
         field = ObstacleField(cfg["d"], cfg["nu"], cfg["a"], derive_seed(cfg["seed"], "clearing", k))
-        cl = largest_clearing(field, cfg["ell"], cfg["resolution"])
+        cl = largest_clearing(field, cfg["ell"])
         radii.append(cl.radius)
     radii = np.asarray(radii)
     frac = float((radii >= target).mean())
@@ -519,7 +518,6 @@ def cmd_clearing_stats(cfg) -> int:
     passed = frac >= gate
     report = {
         "ell": cfg["ell"],
-        "resolution": cfg["resolution"],
         "n_seeds": cfg["n_seeds"],
         "predicted_radius": target,
         "fraction_reaching": frac,
@@ -547,7 +545,7 @@ _RUN = (*_FIELD, "beta", "drift", "t_max", "cap")
 # command's flags are its keys, and it refuses every other flag, key and gate
 _COMMANDS = {
     "gen-env": (cmd_gen_env, "realise and dump obstacle points in a box", None,
-                (*_FIELD, "box_length", "resolution")),
+                (*_FIELD, "box_length")),
     "growth-curve": (cmd_growth_curve, "replicate runs plus predicted overlays", None,
                      (*_RUN, "obs", "replicates", "workers")),
     "mrca-test": (cmd_mrca_test, "pair-coalescence law validation (KS gate)", "ks_gate",
@@ -557,7 +555,7 @@ _COMMANDS = {
     "dichotomy": (cmd_dichotomy, "drifted local growth/extinction experiment", "surv_gate",
                   (*_RUN, "obs", "runs", "prune_tol", "ball_radius")),
     "clearing-stats": (cmd_clearing_stats, "largest clearing vs predicted radius", "clearing_frac",
-                       (*_FIELD, "ell", "resolution", "n_seeds")),
+                       (*_FIELD, "ell", "n_seeds")),
 }
 
 # flags that are not "--key" taking a value of the type of the key's default

@@ -44,7 +44,9 @@ and ``cell_size`` are realised in one vectorised hash pass, and the mixed
 points are resolved by one search across rows, so each answer equals the
 field's own rule.  A field's own bulk table is the one-row
 ``StackedTable([field])``.  ``largest_clearing`` needs distances, not
-membership, and builds its own k-d tree (d >= 2).
+membership: it refines a lattice of cells until its radius is certified to
+within 1e-9, with distances from the sorted centres in d = 1 and from its
+own k-d tree in d >= 2.
 
 Cell realisation is idempotent, so concurrent readers may duplicate work
 but can never disagree; there is no mutation besides cache fills.
@@ -88,6 +90,9 @@ _BINS_PER_RADIUS = 16
 _MAX_BINS = 1 << 20
 # bin states, ordered so that a bin takes the largest mark any centre gives it
 _FREE, _MIXED, _BLOCKED = 0, 1, 2
+
+# largest_clearing: the returned radius lies within _TOL of the largest clearing
+_TOL = 1e-9
 
 
 def _tile_side(d: int) -> int:
@@ -438,8 +443,9 @@ class StackedTable:
         """``fields[rows[i]].is_blocked(xs[i])`` for every i, as one bool
         array; row 0 for every point when ``rows`` is None.
 
-        ``xs`` has shape (n,) or (n, 1), and ``rows`` n entries in
-        ``0 ... len(fields) - 1``; any other shape or row raises ValueError.
+        ``xs`` has shape (n,) or (n, 1), and ``rows`` n integers in
+        ``0 ... len(fields) - 1``; any other shape, type or row raises
+        ValueError.
         A query closer than ``margin`` to the box's edge first grows the
         box.  The first box is the queries' range widened by ``margin +
         pad``; a later one extends each side that must grow by at least the
@@ -453,9 +459,11 @@ class StackedTable:
             rows = np.asarray(rows)
             if len(rows) != len(xs):
                 raise ValueError(f"{len(xs)} query points need as many rows, got {len(rows)}")
-            # numpy would read row -1 as the last row
-            if len(rows) and not (0 <= rows.min() and rows.max() < len(self.fields)):
-                raise ValueError(f"rows must lie in 0 ... {len(self.fields) - 1}, got {rows.min()} ... {rows.max()}")
+            # numpy would read bool rows as rows 0 and 1, and row -1 as the last row
+            if len(rows) and not (rows.dtype.kind in "iu" and 0 <= rows.min() and rows.max() < len(self.fields)):
+                raise ValueError(f"rows must lie in 0 ... {len(self.fields) - 1} as integers, got {rows.dtype} {rows}")
+            # a narrow integer type would overflow in the bin offset rows * n
+            rows = rows.astype(np.intp, copy=False)
         return self._lookup(xs, rows)
 
     def _lookup(self, xs, rows):
@@ -616,48 +624,69 @@ def _line_distances(line, keys, q, key) -> np.ndarray:
     return np.minimum(np.abs(q - line[idx - 1]), np.abs(line[idx] - q))
 
 
-def largest_clearing(field: ObstacleField, ell: float, resolution: float) -> Clearing:
-    """Largest obstacle-free ball centred on a pitch-``resolution`` grid in B(0, ell).
+def largest_clearing(field: ObstacleField, ell: float) -> Clearing:
+    """Largest obstacle-free ball centred in B(0, ell).
 
-    Grid-restricted, hence a lower bound on the true largest clearing.  The
-    centre grid depends only on ``resolution``, so for a fixed field the
-    returned radius is monotone non-decreasing in ``ell``.
+    The returned radius lies within ``_TOL`` (and the rounding of the
+    coordinates) of the true largest clearing centred in B(0, ell), and the
+    centre lies in B(0, ell).  The distance to the nearest obstacle centre
+    is 1-Lipschitz, so its value at the point of B(0, ell) nearest a cell's
+    centre, plus the cell's half-diagonal, bounds it on the cell's part of
+    the ball; on B(0, ell) it is also at most ell + |c| for that point's
+    nearest centre c, which ends the search when a whole arc of the sphere
+    ties.  The search starts from the lattice of pitch ``field.cell_size``
+    aligned to the origin (the same cells for every ell), drops the cells
+    that miss the ball, and splits a cell into its 2^d halves while its
+    bound exceeds the best value found by more than ``_TOL``, so the radius
+    is monotone in ell up to ``_TOL``.  Distances come from the sorted
+    centres in d = 1 and a k-d tree in d >= 2.  Ties go toward the origin.
     """
     if not ell > 0:
         raise ValueError(f"ell must be positive, got {ell}")
-    if not resolution > 0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
-    k = int(math.floor(ell / resolution))
-    axis = np.arange(-k, k + 1) * resolution
-    if field.d == 1:
-        centers = axis[:, None]
-    else:
-        grids = np.meshgrid(*([axis] * field.d), indexing="ij")
-        centers = np.stack([g.ravel() for g in grids], axis=1)
-        centers = centers[np.sum(centers**2, axis=1) <= ell * ell + 1e-12]
-
+    d, cs = field.d, field.cell_size
     if field._finite and not len(field._points):
-        return Clearing((0.0,) * field.d, math.inf)
-
-    margin = max(8.0 * field.cell_size, 2.0 * field.a)
+        return Clearing((0.0,) * d, math.inf)
+    k = np.arange(math.floor(-ell / cs), math.ceil(ell / cs))
+    lattice = np.stack(np.meshgrid(*[k] * d, indexing="ij"), axis=-1).reshape(-1, d) * cs
+    halves = np.indices((2,) * d).reshape(d, -1).T
+    margin = max(8.0 * cs, 2.0 * field.a)
     for _ in range(60):
-        pts = field.realize_box(centers.min(axis=0) - margin, centers.max(axis=0) + margin)
-        if len(pts) == 0:
-            margin *= 2.0
-            continue
-        if field.d == 1:
+        # with no centre in the box every score is inf, and the margin grows
+        pts = field.realize_box([-ell - margin] * d, [ell + margin] * d)
+        if d == 1:
             line = np.concatenate(([-np.inf], np.sort(pts[:, 0]), [np.inf]))
-            dists = _line_distances(line, line, centers[:, 0], centers[:, 0])
         else:
             from scipy.spatial import cKDTree
 
-            dists, _ = cKDTree(pts).query(centers)
-        if float(dists.max()) <= margin:
-            # ties (e.g. symmetric gaps) resolved toward the origin
-            ties = np.nonzero(dists >= dists.max())[0]
-            best = int(ties[np.argmin(np.sum(centers[ties] ** 2, axis=1))])
-            radius = max(0.0, float(dists[best]) - field.a)
-            return Clearing(tuple(float(v) for v in centers[best]), radius)
+            # the tree reports a missing neighbour as index len(pts)
+            tree, cap = cKDTree(pts), np.append(ell + np.sqrt(np.einsum("ij,ij->i", pts, pts)), np.inf)
+        lo, h, best = lattice, cs, (-math.inf, 0.0, None)  # (score, -|point|^2, point)
+        while True:
+            # a cell stays while its point nearest the origin lies in the ball
+            q = np.maximum(lo, np.minimum(0.0, lo + h))
+            inside = np.einsum("ij,ij->i", q, q) <= ell * ell
+            if not inside.all():  # the first lattice mostly is, and a mask copy costs
+                lo = lo[inside]
+            if not len(lo):
+                break
+            p = lo + 0.5 * h
+            r2 = np.einsum("ij,ij->i", p, p)
+            out = r2 > ell * ell
+            p[out] *= (ell / np.sqrt(r2[out]))[:, None]
+            if d == 1:
+                score, bound = _line_distances(line, line, p[:, 0], p[:, 0]), math.inf
+            else:
+                score, i = tree.query(p)
+                bound = cap[i]
+            ties = np.flatnonzero(score == score.max())
+            j = ties[np.argmin(r2[ties])]
+            best = max(best, (float(score[j]), -min(float(r2[j]), ell * ell), tuple(map(float, p[j]))))
+            keep = np.minimum(score + 0.5 * math.sqrt(d) * h, bound) > best[0] + _TOL
+            h *= 0.5
+            lo = (lo[keep][:, None, :] + h * halves).reshape(-1, d)
+        # a score above the margin may miss a centre outside the realised box
+        if best[0] <= margin:
+            return Clearing(best[2], max(0.0, best[0] - field.a))
         margin *= 2.0
     raise RuntimeError("clearing search failed to stabilise; field looks pathologically empty")
 

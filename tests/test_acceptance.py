@@ -5,6 +5,7 @@ in failure reports).  Runtime for the whole module is a few minutes; the
 statistical gates use fixed seeds so outcomes are reproducible.
 """
 
+import functools
 import math
 import random
 
@@ -307,19 +308,42 @@ def test_criterion_09_slowdown_direction():
     )
 
 
+# gate 10's fields: d = 1, nu = 1, a = 0.1, clearings within ell = 1e5, 100 seeds
+GATE_10 = (1, 1.0, 0.1, 1e5, 100)
+
+
+@functools.cache
+def gate_10_radii():
+    """The largest clearing of each of gate 10's fields, realised once for
+    gate 10 and its law companion."""
+    d, nu, a, ell, n_seeds = GATE_10
+    fields = (ObstacleField(d, nu, a, derive_seed(2010, "seed", k), 1.0) for k in range(n_seeds))
+    return np.array([largest_clearing(field, ell).radius for field in fields])
+
+
 def test_criterion_10_clearing_statistics():
-    d, nu, a, ell = 1, 1.0, 0.1, 1e5
+    d, nu, a, ell, n_seeds = GATE_10
     mc = ModelConstants(d, nu, 1.0, a)
     target = clearing_radius(ell, mc)
-    hits = 0
-    n_seeds = 100
-    for k in range(n_seeds):
-        field = ObstacleField(d, nu, a, derive_seed(2010, "seed", k), 1.0)
-        cl = largest_clearing(field, ell, 0.5)
-        hits += cl.radius >= target
+    hits = int((gate_10_radii() >= target).sum())
     ok = hits >= 95
     assert report(
         10, ok, f"radius >= rho(ell)={target:.4f} in {hits}/{n_seeds} seeds (gate 95)"
+    )
+
+
+def test_criterion_10b_clearing_law():
+    # In d = 1 about 2 nu ell spacings of the centres in [-ell, ell] are iid
+    # Exp(nu), and the clearing is half the largest less a, so
+    # P(R <= r) ~ exp(-2 nu ell e^{-2 nu (r + a)}).  Gate 10's target is
+    # clamped to 0 at this ell; the law is the route that can fail.
+    _, nu, a, ell, _ = GATE_10
+    radii = gate_10_radii()
+    ks = st.kstest(radii, lambda r: np.exp(-2.0 * nu * ell * np.exp(-2.0 * nu * (r + a))))
+    ok = ks.pvalue > 1e-3
+    assert report(
+        "10b", ok, f"KS of {len(radii)} radii against the spacing law: D={ks.statistic:.3f}, "
+        f"p={ks.pvalue:.3g} (gate p > 1e-3); median {np.median(radii):.3f}"
     )
 
 

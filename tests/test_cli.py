@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from mildbbm.cli import SEED_ENV_VAR, main
-from mildbbm.environment import load_points
+from mildbbm.environment import ObstacleField, largest_clearing, load_points
+from mildbbm.seeds import derive_seed
 
 
 def read(path):
@@ -358,12 +359,23 @@ class TestGates:
         out = tmp_path / "cl"
         rc = main(
             ["clearing-stats", "--d", "1", "--nu", "1", "--a", "0.1",
-             "--ell", "2000", "--resolution", "0.5", "--n-seeds", "20",
+             "--ell", "2000", "--n-seeds", "20",
              "--seed", "9", "--out", str(out)]
         )
         assert rc == 0
         rep = json.loads(read(out / "clearing_report.json"))
         assert rep["fraction_reaching"] >= rep["gate"]
+
+    def test_clearing_stats_in_d2(self, tmp_path):
+        out = tmp_path / "cl2"
+        rc = main(["clearing-stats", "--d", "2", "--ell", "20", "--n-seeds", "3", "--seed", "9", "--out", str(out)])
+        assert rc == 0
+        rep = json.loads(read(out / "clearing_report.json"))
+        radii = sorted(
+            largest_clearing(ObstacleField(2, 1.0, 0.1, derive_seed(9, "clearing", k)), 20.0).radius for k in range(3)
+        )
+        assert rep["min_radius"] == radii[0] and rep["median_radius"] == radii[1]
+        assert rep["fraction_reaching"] == 1.0 and radii[0] >= rep["predicted_radius"] > 0
 
 
 class TestConfigHandling:
@@ -500,12 +512,12 @@ class TestConfigHandling:
 FIELD = ["d", "nu", "a", "seed", "out"]
 RUN = FIELD + ["beta", "drift", "t_max", "cap"]
 READS = {
-    "gen-env": FIELD + ["box_length", "resolution"],
+    "gen-env": FIELD + ["box_length"],
     "growth-curve": RUN + ["obs", "replicates", "workers"],
     "mrca-test": ["beta", "t_max", "seed", "out", "pairs"],
     "fk-compare": RUN + ["runs", "workers", "n_paths", "dt", "empty_env"],
     "dichotomy": RUN + ["obs", "runs", "prune_tol", "ball_radius"],
-    "clearing-stats": FIELD + ["ell", "resolution", "n_seeds"],
+    "clearing-stats": FIELD + ["ell", "n_seeds"],
 }
 BOOL_FLAGS = {"empty_env": "--empty-env"}
 # flags that keep a command short, had it run
@@ -526,6 +538,14 @@ def flag_args(key):
 
 
 class TestOptionTable:
+    def test_every_default_is_read_and_every_key_read_has_a_default(self):
+        from mildbbm.cli import _COMMANDS, _DEFAULTS
+
+        keys_read = {key for *_, keys in _COMMANDS.values() for key in keys}
+        # a flag removed from every command must take its default (and its check) with it
+        assert set(_DEFAULTS) - keys_read == set()
+        assert keys_read - set(_DEFAULTS) == set()
+
     @pytest.mark.parametrize("command", sorted(READS))
     def test_help_lists_exactly_the_keys_read(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -556,7 +576,7 @@ class TestOptionTable:
         every = {key for keys in READS.values() for key in keys}
         for key in READS[command]:
             build_parser().parse_args([command] + flag_args(key))
-        for key in sorted(every - set(READS[command])) + ["n_envs", "cell_size"]:
+        for key in sorted(every - set(READS[command])) + ["n_envs", "cell_size", "resolution"]:
             with pytest.raises(SystemExit) as exc:
                 build_parser().parse_args([command] + flag_args(key))
             assert exc.value.code == 2, key
@@ -581,6 +601,7 @@ class TestOptionTable:
             ("dichotomy", {"gates": {"ks_gate": 0.5}}),
             ("clearing-stats", {"beta": 2.0}),
             ("clearing-stats", {"n_envs": 8}),
+            ("clearing-stats", {"resolution": 0.5}),  # the search is certified and takes no pitch
             ("clearing-stats", {"gates": {"surv_gate": 0.5}}),
         ],
     )

@@ -517,6 +517,20 @@ def scalar_answers(fields, xs, rows):
 
 
 class TestStackedTable:
+    def test_rows_must_be_integers(self):
+        fields = mixed_fields()
+        table = StackedTable(fields)
+        xs = np.array([0.5, 3.3])
+        # numpy would read bool rows as rows 1 and 0, and float rows fail inside the lookup
+        for bad in ([True, False], [0.0, 1.0], ["0", "1"]):
+            with pytest.raises(ValueError, match="rows must lie in 0 .* as integers"):
+                table.is_blocked(xs, bad)
+        want = scalar_answers(fields, xs, np.array([1, 0]))
+        for good in ([1, 0], np.array([1, 0], dtype=np.uint8), np.array([1, 0], dtype=np.int32)):
+            assert np.array_equal(table.is_blocked(xs, good), want)
+        # no points take no rows, of whatever type an empty list has
+        assert table.is_blocked(np.empty(0), []).shape == (0,)
+
     def test_equals_the_scalar_rule_at_ball_edges(self):
         fields = mixed_fields()
         table = StackedTable(fields)
@@ -843,31 +857,98 @@ class TestNearestDistance:
         assert 0.05 < bulk.mean() < 0.95
 
 
+def clearing_1d(field, ell, margin=50.0):
+    """The exact d = 1 largest clearing in [-ell, ell]: the best of the
+    half-gaps between consecutive centres whose midpoint lies in [-ell, ell]
+    and the distances from the two ends +-ell to their nearest centres."""
+    c = np.sort(field.realize_box([-ell - margin], [ell + margin])[:, 0])
+    mid, half_gap = 0.5 * (c[1:] + c[:-1]), 0.5 * (c[1:] - c[:-1])
+    ends = [np.min(np.abs(c - ell)), np.min(np.abs(c + ell))]
+    return max(0.0, max(half_gap[np.abs(mid) <= ell].max(initial=0.0), *ends) - field.a)
+
+
+def lattice_clearing(field, ell, h, margin):
+    """The largest clearing centred on a pitch-h lattice in [-ell, ell]^d,
+    each point moved to the nearest point of B(0, ell), scored by brute force
+    against the centres in the box widened by ``margin``."""
+    d = field.d
+    axis = np.arange(-math.ceil(ell / h), math.ceil(ell / h) + 1) * h
+    g = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    g *= (ell / np.maximum(np.sqrt(np.sum(g**2, axis=1)), ell))[:, None]
+    c = field.realize_box([-ell - margin] * d, [ell + margin] * d)
+    # |g - c|^2 = |g|^2 + |c|^2 - 2 g.c, in blocks of lattice points
+    best2 = max(
+        np.min(np.sum(part**2, axis=1)[:, None] + np.sum(c**2, axis=1) - 2.0 * part @ c.T, axis=1).max()
+        for part in np.array_split(g, len(g) // 4096 + 1)
+    )
+    best = math.sqrt(max(0.0, best2))
+    assert best < margin  # no centre outside the box is nearer
+    return best - field.a
+
+
 class TestLargestClearing:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_d1_equals_the_closed_form(self, seed):
+        f = ObstacleField(1, 1.0, 0.1, 7000 + seed)
+        for ell in (0.3, 5.0, 200.0):
+            assert largest_clearing(f, ell).radius == pytest.approx(clearing_1d(f, ell), abs=1e-9)
+
+    def test_d1_clearing_at_the_ends_of_the_interval(self):
+        f = ObstacleField.from_points([-1.0, 0.5, 2.0], a=0.1)
+        cl = largest_clearing(f, 10.0)
+        assert cl.radius == pytest.approx(clearing_1d(f, 10.0), abs=1e-9) == pytest.approx(8.9, abs=1e-9)
+        assert cl.center[0] == pytest.approx(-10.0, abs=1e-9)
+        # both ends tie
+        cl = largest_clearing(ObstacleField.from_points([-1.0, 1.0], a=0.1), 5.0)
+        assert cl.radius == pytest.approx(3.9, abs=1e-9)
+        assert abs(cl.center[0]) == pytest.approx(5.0, abs=1e-9)
+
+    @pytest.mark.parametrize("d, nu, a, ell, h, seed", [
+        (2, 0.5, 0.3, 6.0, 0.05, 11),
+        (2, 1.0, 0.1, 5.0, 0.05, 12),
+        (3, 1.0, 0.1, 3.0, 0.15, 13),
+        (3, 0.5, 0.3, 2.5, 0.15, 14),
+    ])
+    def test_between_a_lattice_and_its_half_diagonal(self, d, nu, a, ell, h, seed):
+        f = ObstacleField(d, nu, a, seed)
+        r_h = lattice_clearing(f, ell, h, margin=3.0)
+        cl = largest_clearing(f, ell)
+        # every point of the ball lies within h sqrt(d) / 2 of a lattice point moved into it
+        assert r_h - 1e-9 <= cl.radius <= r_h + 0.5 * h * math.sqrt(d)
+        assert math.hypot(*cl.center) <= ell * (1 + 1e-12)
+        assert nearest_centre(f, cl.center, cl.radius + f.a + 2.0) >= cl.radius + f.a - 1e-9
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_a_centre_at_the_origin_clears_the_whole_sphere(self, d):
+        # every point of |x| = ell is a largest clearing; the search must still end
+        cl = largest_clearing(ObstacleField.from_points(np.zeros((1, d)), a=0.5), 3.0)
+        assert cl.radius == pytest.approx(2.5, abs=1e-9)
+        assert math.hypot(*cl.center) == pytest.approx(3.0, abs=1e-9)
+
     def test_symmetric_gap(self):
         f = ObstacleField.from_points([[-5.0], [5.0]], a=1.0)
-        cl = largest_clearing(f, 10.0, 0.01)
+        cl = largest_clearing(f, 10.0)
         assert abs(cl.center[0]) <= 0.011
         assert cl.radius == pytest.approx(4.0, abs=0.02)
 
     def test_invariant_rechecked(self):
         f = ObstacleField(1, 1.0, 0.15, 4242, 1.0)
-        cl = largest_clearing(f, 200.0, 0.05)
+        cl = largest_clearing(f, 200.0)
         d = nearest_centre(f, cl.center, cl.radius + f.a + 2.0)
         assert d >= cl.radius + f.a - 1e-9
 
     def test_monotone_in_search_radius(self):
         f = ObstacleField(1, 1.0, 0.1, 560, 1.0)
-        radii = [largest_clearing(f, ell, 0.25).radius for ell in (50.0, 200.0, 800.0)]
+        radii = [largest_clearing(f, ell).radius for ell in (50.0, 200.0, 800.0)]
         assert radii[0] <= radii[1] <= radii[2]
 
     def test_empty_field_unbounded(self):
         f = ObstacleField.from_points([], a=0.5, d=1)
-        assert largest_clearing(f, 10.0, 0.5).radius == math.inf
+        assert largest_clearing(f, 10.0).radius == math.inf
 
     def test_d2_smoke(self):
         f = ObstacleField(2, 0.5, 0.3, 11, 1.0)
-        cl = largest_clearing(f, 6.0, 0.25)
+        cl = largest_clearing(f, 6.0)
         assert cl.radius >= 0.0
         d = nearest_centre(f, cl.center, cl.radius + f.a + 2.0)
         assert d >= cl.radius + f.a - 1e-9
@@ -903,4 +984,4 @@ class TestFixtures:
     def test_module_level_wrappers(self):
         f = ObstacleField.from_points([[0.0]], a=1.0)
         assert f.is_blocked((0.5,))
-        assert isinstance(largest_clearing(f, 3.0, 0.5), Clearing)
+        assert isinstance(largest_clearing(f, 3.0), Clearing)
