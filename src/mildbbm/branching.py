@@ -25,15 +25,13 @@ Replicates are independent runs, and many of them can be stepped as one
 batch (:func:`run_batch`): the rows of every run share the arrays, with a
 ``run`` column naming each row's run, so a round steps the due rows of all
 runs at once and its per-round cost is paid once per batch instead of once
-per run.  Each run's candidates are decided by its own field.  In d = 1 a
-round asks one table: runs that share a field ask its ``is_blocked_many``,
-and runs on distinct fields ask a
-:class:`~mildbbm.environment.StackedTable` owned by the batch, with a row
-per field, so a whole round is answered by one gather; both give the exact
-scalar rule's answers.  In d >= 2 each candidate asks its field's scalar
-``is_blocked``.  Each run draws from its own numpy Generator, seeded by its
-run seed; a round's draws are taken run by run, in row order within each
-run, in the order a run alone would take them.  A run is therefore a
+per run.  Each run's candidates are decided by its own field, through the
+one blocking query :func:`~mildbbm.environment.batch_query` gives the batch,
+which also answers the free process (every field None) with "never
+blocked"; the rule for which structure answers is described there.  Each
+run draws from its own numpy Generator, seeded by its run seed; a round's
+draws are taken run by run, in row order within each run, in the order a
+run alone would take them.  A run is therefore a
 function of its seed and its field alone, the same in a batch as alone
 (``run_bbm`` is a batch of one), and never depends on scheduling, on the
 other runs of its batch, or on their truncation.
@@ -58,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import ModelConstants, drift_vector, lambda_c_constant_drift
-from .environment import ObstacleField, StackedTable, write_header, write_table
+from .environment import ObstacleField, batch_query, write_header, write_table
 from .seeds import derive_seed
 
 __all__ = [
@@ -74,6 +72,7 @@ __all__ = [
     "local_mass",
     "population_at",
     "dichotomy_experiment",
+    "median",
 ]
 
 
@@ -254,7 +253,7 @@ def _curve(config, counts, radial, local):
     return GrowthCurve(times=times, counts=counts, local_counts=locals_, radial_max=radial, rates=rates)
 
 
-def _median(values):
+def median(values):
     """``np.median(values, axis=0)``, from a sort; NaN for no values.
 
     For values without NaN.  ``np.median`` checks for a masked array, and
@@ -285,39 +284,6 @@ def _inside(pos, center, radius):
     return _sq_dist(pos, np.asarray(center, dtype=float)) < radius * radius
 
 
-def _ask(query, point):
-    return query(point)
-
-
-def _scalar_asker(fields):
-    """Per-row queries for d >= 2: ``fields[run[i]].is_blocked(p[i])`` in
-    row order, or one field's query for every row when all runs share it."""
-    if all(f is fields[0] for f in fields):
-        query = fields[0].is_blocked
-        return lambda p, run: np.fromiter(map(query, p.tolist()), dtype=bool, count=len(p))
-    queries = [f.is_blocked for f in fields]
-    return lambda p, run: np.fromiter(
-        map(_ask, map(queries.__getitem__, run.tolist()), p.tolist()), dtype=bool, count=len(p)
-    )
-
-
-def _table_asker(fields):
-    """Bulk queries for d = 1, one call per block of rows.
-
-    Runs that share one field ask its own ``is_blocked_many`` (and its warm
-    table); runs on distinct fields ask a :class:`StackedTable` with one
-    row per distinct field.  Returns the asker and the stacked table (None
-    for a shared field).
-    """
-    if all(f is fields[0] for f in fields):
-        many = fields[0].is_blocked_many
-        return (lambda p, run: many(p[:, 0])), None
-    index = {}
-    row_of = np.asarray([index.setdefault(id(f), len(index)) for f in fields])
-    table = StackedTable(list({id(f): f for f in fields}.values()))
-    return (lambda p, run: table._lookup(p[:, 0], row_of[run])), table
-
-
 def _blocked(ask, p, run):
     """``ask`` over blocks of at most ``_CHUNK`` rows, so the temporaries of
     a query stay bounded however many candidates a round holds."""
@@ -345,26 +311,17 @@ class _Batch:
     ``last`` (the time of ``pos``), ``clock`` (the next candidate time) and
     ``run`` (the run's index), plus ``ids`` and ``parents`` when a log is
     kept.  Observations, pruning and truncation are kept per run.
-    ``ask(p, run)`` answers whether the candidates at ``p`` are blocked
-    (None for the free process), and ``table`` is the batch's own stacked
-    table, if it has one.
+    ``ask`` and ``table`` are the batch's blocking query and its own stacked
+    table (or None), from :func:`~mildbbm.environment.batch_query`.
     """
 
     def __init__(self, config, fields, seeds, keep_log, focus, prune_tol):
         n = len(fields)
         if n == 0 or len(seeds) != n:
             raise ValueError(f"a batch needs one seed per field and at least one run, got {len(seeds)} and {n}")
-        if any(f is None for f in fields) and not all(f is None for f in fields):
-            raise ValueError("a batch runs either the free process (every field None) or among obstacles (no field None)")
         self.config = config
         self.d, self.mean_gap = config.mc.d, 1.0 / config.mc.beta
-        self.table = None
-        if fields[0] is None:
-            self.ask = None
-        elif self.d == 1:
-            self.ask, self.table = _table_asker(fields)
-        else:
-            self.ask = _scalar_asker(fields)
+        self.ask, self.table = batch_query(fields, self.d)
         self.gens = [np.random.default_rng(seed) for seed in seeds]
         # None for no drift: adding 0.0 would change nothing but a zero's sign
         drift = config.drift_vector
@@ -533,10 +490,7 @@ class _Batch:
                 tc = tc[stay]
                 p = p[stay]
                 run = run[stay]
-        if self.ask is None:
-            split = np.ones(due.size, dtype=bool)
-        else:
-            split = ~_blocked(self.ask, p, run)
+        split = ~_blocked(self.ask, p, run)
         n_split = int(np.count_nonzero(split))
         self.events += due.size
         self.rejected += due.size - n_split
@@ -665,12 +619,12 @@ def run_batch(config: SimConfig, fields, seeds, *, keep_log=False, focus=None, p
     (candidates decided: branches plus rejections), ``rejected``,
     ``rounds`` (array rounds stepped) and ``table_builds``.
 
-    In d = 1 each round's candidates are answered by one table lookup per
-    block of ``_CHUNK`` rows: runs on distinct fields ask a stacked table
-    owned by the batch (``table_builds`` counts its builds), and runs that
-    all share one field ask that field's own table (``table_builds`` is 0:
-    the field's rebuilds depend on its query history, not on this batch).
-    In d >= 2 each candidate asks the scalar ``is_blocked``.
+    Each round's candidates are asked, a block of at most ``_CHUNK`` rows at
+    a time, through :func:`~mildbbm.environment.batch_query`.
+    ``table_builds`` counts the builds of the stacked table a batch of d = 1
+    runs on distinct fields owns; it is 0 for every other batch (runs that
+    share one d = 1 field ask that field's own table, whose rebuilds depend
+    on its query history, not on this batch).
 
     With ``focus = (center, radius)`` particles whose expected
     free-population contribution to that ball at every remaining
@@ -867,7 +821,7 @@ def dichotomy_experiment(
     n_ok = len(counts)
     if n_ok:
         survival_fraction = float((counts[:, -1] > 0).mean())
-        median_counts, mean_counts = _median(counts), counts.mean(axis=0)
+        median_counts, mean_counts = median(counts), counts.mean(axis=0)
         mean_se = counts.std(axis=0, ddof=1) / math.sqrt(n_ok) if n_ok > 1 else np.full(len(obs_times), np.nan)
     else:
         survival_fraction = float("nan")

@@ -39,7 +39,9 @@ Exit codes
 2  configuration error: a flag, config key or gate key the subcommand
    does not read, or a config that fails the check made when it is
    loaded, by building the model constants, a simulation config and the
-   obstacle field it describes
+   obstacle field it describes, and by sizing the clearing search of
+   clearing-stats (over B(0, ell)) or gen-env (over half its box), which
+   must fit in memory
 3  campaign invalidated by particle-cap truncation (growth-curve,
    fk-compare and dichotomy: every run hit the cap)
 4  internal fault or i/o failure; the traceback goes to stderr
@@ -61,12 +63,12 @@ from .analysis import ModelConstants, clearing_radius, predicted_log_mass
 from .branching import (
     Ball,
     SimConfig,
-    _median,
     dichotomy_experiment,
+    median,
     run_batch,
     run_bbm,  # noqa: F401  not called here; perfbench's tracer test reads cli.run_bbm
 )
-from .environment import ObstacleField, largest_clearing, save_points, write_table
+from .environment import ObstacleField, check_clearing_search, largest_clearing, save_points, write_table
 from .feynman_kac import estimate_quenched_mass, write_estimates_csv
 from .genealogy import MrcaLaw, mrca_cdf, sample_pair_mrca, simulate_yule_tree
 from .seeds import derive_seed
@@ -143,13 +145,15 @@ def _load_config(args) -> dict:
     for key, val in vars(args).items():
         if key in cfg and val is not None:
             cfg[key] = val
-    _validate(cfg)
+    _validate(cfg, keys)
     return cfg
 
 
-def _validate(cfg):
+def _validate(cfg, keys):
     """Raise ConfigError unless every object a campaign builds from cfg can be
-    built; parses the observation times into a tuple of floats."""
+    built, and a command reading ``ell`` or ``box_length`` (of the config
+    keys ``keys``) can hold its clearing search in memory; parses the
+    observation times into a tuple of floats."""
     try:
         # bool is an int subclass, and a float seed would reach the field
         # truncated but derive_seed as text
@@ -172,7 +176,7 @@ def _validate(cfg):
             particle_cap=_DEFAULTS["cap"] if cfg["cap"] is None else cfg["cap"],
             seed=cfg["seed"],
         )
-        ObstacleField(cfg["d"], cfg["nu"], cfg["a"], cfg["seed"])
+        field = ObstacleField(cfg["d"], cfg["nu"], cfg["a"], cfg["seed"])
         clearing_radius(cfg["ell"], mc)
         for name in ("dt", "ball_radius"):
             if not cfg[name] > 0:
@@ -183,6 +187,11 @@ def _validate(cfg):
                 raise ValueError(f"{name} must be an integer >= {least}, got {cfg[name]}")
         if not cfg["box_length"] >= 0 or not cfg["prune_tol"] >= 0:
             raise ValueError("box_length and prune_tol must be >= 0")
+        # clearing-stats searches B(0, ell), gen-env half its box
+        if "ell" in keys:
+            check_clearing_search(field, cfg["ell"])
+        if "box_length" in keys and cfg["box_length"] > 0:
+            check_clearing_search(field, cfg["box_length"] / 2.0)
         if not isinstance(cfg["empty_env"], bool):
             raise ValueError(f"empty_env must be true or false, got {cfg['empty_env']!r}")
     except (TypeError, ValueError) as e:
@@ -354,9 +363,9 @@ def cmd_growth_curve(cfg) -> int:
     for k, t in enumerate(ts):
         rate = rates[:, k]
         # every rate at t = 0 is NaN, and nanmean warns of that
-        mean_rt, median_rt = (float(np.nanmean(rate)), _median(rate[~np.isnan(rate)])) if t > 0 else (nan, nan)
+        mean_rt, median_rt = (float(np.nanmean(rate)), median(rate[~np.isnan(rate)])) if t > 0 else (nan, nan)
         diag = math.log(t) ** (2.0 / cfg["d"]) * (mean_rt - cfg["beta"]) if t > 1 else nan
-        agg.append((t, counts[:, k].mean(), _median(counts[:, k]), mean_rt, median_rt, diag))
+        agg.append((t, counts[:, k].mean(), median(counts[:, k]), mean_rt, median_rt, diag))
         q = predicted_log_mass(mc, t, "quenched") if t > 1 else nan
         an = predicted_log_mass(mc, t, "annealed") if t > 0 else nan
         predicted.append((t, q, an))
@@ -522,7 +531,7 @@ def cmd_clearing_stats(cfg) -> int:
         "predicted_radius": target,
         "fraction_reaching": frac,
         "gate": gate,
-        "median_radius": float(_median(radii)),
+        "median_radius": float(median(radii)),
         "min_radius": float(radii.min()),
         "pass": bool(passed),
     }

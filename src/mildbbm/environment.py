@@ -43,10 +43,19 @@ whole round, with one gather.  Rows of Poisson fields that share ``nu``
 and ``cell_size`` are realised in one vectorised hash pass, and the mixed
 points are resolved by one search across rows, so each answer equals the
 field's own rule.  A field's own bulk table is the one-row
-``StackedTable([field])``.  ``largest_clearing`` needs distances, not
-membership: it refines a lattice of cells until its radius is certified to
-within 1e-9, with distances from the sorted centres in d = 1 and from its
-own k-d tree in d >= 2.
+``StackedTable([field])``.
+
+The branching engine asks every candidate of a batch of runs through one
+function, :func:`batch_query`, which picks the structure that answers:
+the scalar query in d >= 2, a shared field's bulk query or the batch's own
+stacked table in d = 1, and "never blocked" for the free process.
+
+``largest_clearing`` needs distances, not membership: it refines a lattice
+of cells until its radius is certified to within 1e-9, with distances from
+the sorted centres in d = 1 and from its own k-d tree in d >= 2.  It holds
+its whole lattice and realised box at once, so ``check_clearing_search``
+refuses, before anything is allocated, a search of more than 10^7 lattice
+cells or expected centres.
 
 Cell realisation is idempotent, so concurrent readers may duplicate work
 but can never disagree; there is no mutation besides cache fills.
@@ -67,8 +76,10 @@ from .seeds import cell_key_array, stream_u64_array, u01_array
 __all__ = [
     "ObstacleField",
     "StackedTable",
+    "batch_query",
     "Clearing",
     "largest_clearing",
+    "check_clearing_search",
     "load_points",
     "save_points",
     "write_header",
@@ -93,6 +104,9 @@ _FREE, _MIXED, _BLOCKED = 0, 1, 2
 
 # largest_clearing: the returned radius lies within _TOL of the largest clearing
 _TOL = 1e-9
+# largest_clearing refuses a search whose lattice cells or expected realised
+# centres number more than this: at about 200 bytes a lattice cell, 2 GB
+_MAX_CLEARING_SIZE = 10**7
 
 
 def _tile_side(d: int) -> int:
@@ -549,6 +563,51 @@ class StackedTable:
         self.builds += 1
 
 
+def _ask(query, point):
+    return query(point)
+
+
+def batch_query(fields, d: int):
+    """The blocking query of a batch of d-dimensional runs, run i among the
+    obstacles of ``fields[i]``: returns ``(ask, table)``.
+
+    ``ask(p, run)`` answers, as one bool array, whether each candidate
+    ``p[i]`` (a row of an (n, d) array) of run ``run[i]`` is blocked by that
+    run's field; ``table`` is the batch's own :class:`StackedTable`, or None.
+
+    - A batch of ``None`` fields is the free process: nothing is blocked.
+      A batch that mixes ``None`` with fields raises ValueError.
+    - In d >= 2 each candidate asks its field's scalar ``is_blocked``, in
+      row order.
+    - In d = 1 runs that all share one field ask its ``is_blocked_many``
+      (and its warm table); runs on distinct fields ask a ``StackedTable``
+      with one row per distinct field, owned by the batch, so a block of
+      candidates is answered by one gather.
+
+    Every answer is the scalar rule's.
+    """
+    if any(f is None for f in fields):
+        if not all(f is None for f in fields):
+            raise ValueError("a batch runs either the free process (every field None) or among obstacles (no field None)")
+        return (lambda p, run: np.zeros(len(p), dtype=bool)), None
+    shared = all(f is fields[0] for f in fields)
+    if d >= 2:
+        if shared:
+            query = fields[0].is_blocked
+            return (lambda p, run: np.fromiter(map(query, p.tolist()), dtype=bool, count=len(p))), None
+        queries = [f.is_blocked for f in fields]
+        return (lambda p, run: np.fromiter(
+            map(_ask, map(queries.__getitem__, run.tolist()), p.tolist()), dtype=bool, count=len(p)
+        )), None
+    if shared:
+        many = fields[0].is_blocked_many
+        return (lambda p, run: many(p[:, 0])), None
+    index = {}
+    row_of = np.asarray([index.setdefault(id(f), len(index)) for f in fields])
+    table = StackedTable(list({id(f): f for f in fields}.values()))
+    return (lambda p, run: table._lookup(p[:, 0], row_of[run])), table
+
+
 def _hashed_points(keys: np.ndarray, cells: np.ndarray, cdf, cell_size: float):
     """Points of the lattice cells ``cells`` (n, d), whose hash keys are
     ``keys``, as a (total, d) array, with the index of each point's cell."""
@@ -624,6 +683,29 @@ def _line_distances(line, keys, q, key) -> np.ndarray:
     return np.minimum(np.abs(q - line[idx - 1]), np.abs(line[idx] - q))
 
 
+def check_clearing_search(field: ObstacleField, ell: float):
+    """Raise ValueError, naming ell, d and the count, when the search of
+    :func:`largest_clearing` over B(0, ell) would hold more than
+    ``_MAX_CLEARING_SIZE`` lattice cells or realise more than that many
+    obstacle centres on average.  Allocates nothing."""
+    if not ell > 0:
+        raise ValueError(f"ell must be positive, got {ell}")
+    d, cs = field.d, field.cell_size
+    cells = (math.ceil(ell / cs) - math.floor(-ell / cs)) ** d
+    centres = field.nu * (2.0 * (ell + _clearing_margin(field))) ** d
+    for count, what in ((cells, "lattice cells"), (centres, "obstacle centres on average")):
+        if count > _MAX_CLEARING_SIZE:
+            raise ValueError(
+                f"a clearing search over ell = {ell:g} in d = {d} needs {count:.3g} {what}, "
+                f"more than {_MAX_CLEARING_SIZE:.3g}; take a smaller ell"
+            )
+
+
+def _clearing_margin(field: ObstacleField) -> float:
+    """The first margin by which a clearing search widens its realised box."""
+    return max(8.0 * field.cell_size, 2.0 * field.a)
+
+
 def largest_clearing(field: ObstacleField, ell: float) -> Clearing:
     """Largest obstacle-free ball centred in B(0, ell).
 
@@ -640,16 +722,17 @@ def largest_clearing(field: ObstacleField, ell: float) -> Clearing:
     bound exceeds the best value found by more than ``_TOL``, so the radius
     is monotone in ell up to ``_TOL``.  Distances come from the sorted
     centres in d = 1 and a k-d tree in d >= 2.  Ties go toward the origin.
+    A search too large for memory raises ValueError first
+    (:func:`check_clearing_search`).
     """
-    if not ell > 0:
-        raise ValueError(f"ell must be positive, got {ell}")
+    check_clearing_search(field, ell)
     d, cs = field.d, field.cell_size
     if field._finite and not len(field._points):
         return Clearing((0.0,) * d, math.inf)
     k = np.arange(math.floor(-ell / cs), math.ceil(ell / cs))
     lattice = np.stack(np.meshgrid(*[k] * d, indexing="ij"), axis=-1).reshape(-1, d) * cs
     halves = np.indices((2,) * d).reshape(d, -1).T
-    margin = max(8.0 * cs, 2.0 * field.a)
+    margin = _clearing_margin(field)
     for _ in range(60):
         # with no centre in the box every score is inf, and the margin grows
         pts = field.realize_box([-ell - margin] * d, [ell + margin] * d)

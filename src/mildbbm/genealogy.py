@@ -179,13 +179,11 @@ class YuleTree:
 def simulate_yule_tree(beta, t, rng, min_leaves: int = 1) -> YuleTree:
     """Simulate one pure-birth tree to horizon t.
 
-    ``rng`` is a ``random.Random`` or an integer seed.  With ``min_leaves``
+    ``rng`` is a ``random.Random``.  With ``min_leaves``
     the tree is conditioned (by rejection) on holding at least that many
     individuals at the horizon; rejection is cheap because extinction is
     impossible and P(no split) = e^{-beta t}.
     """
-    if isinstance(rng, int):
-        rng = random.Random(rng)
     while True:
         tree = YuleTree(beta=beta, horizon=t)
         tree.parent = [None]
@@ -215,7 +213,8 @@ def simulate_yule_tree(beta, t, rng, min_leaves: int = 1) -> YuleTree:
 
 
 def sample_pair_mrca(tree: YuleTree, rng) -> tuple:
-    """Uniformly sample an unordered leaf pair; return (s, i).
+    """Uniformly sample an unordered leaf pair with the ``random.Random``
+    ``rng``; return (s, i).
 
     s is the split time of the pair's most recent common ancestor and i the
     population size immediately after that split (the split itself counted),
@@ -224,8 +223,6 @@ def sample_pair_mrca(tree: YuleTree, rng) -> tuple:
     """
     if tree.n_leaves < 2:
         raise ValueError("need at least two leaves to sample a pair")
-    if isinstance(rng, int):
-        rng = random.Random(rng)
     a, b = rng.sample(range(tree.n_leaves), 2)
     node_a, node_b = tree.leaves[a], tree.leaves[b]
     ancestors = set()

@@ -256,25 +256,30 @@ class TestEngineContract:
 
     def test_row_blocks_do_not_change_a_run(self, monkeypatch):
         # the pruning check and the blocking queries run in blocks of rows;
-        # tiny blocks must give the same run, cell for cell
-        mc = ModelConstants(1, 0.5, 1.0, 0.3)
-        ball = Ball("unit", (0.0,), 1.0)
-        cfg = SimConfig(mc=mc, t_max=8.0, obs_times=(4.0, 6.0, 8.0), drift=1.0, seed=15, balls=(ball,))
+        # tiny blocks must give the same run.  In d = 2 the scalar queries
+        # fill the field's reach lists, which must match cell for cell (a
+        # d = 1 run asks the bulk table and fills none).
+        chunk = branching._CHUNK
+        for d, beta, seed in ((1, 1.0, 15), (2, 1.5, 16)):
+            center = (0.0,) * d
+            cfg = SimConfig(mc=ModelConstants(d, 0.5, beta, 0.3), t_max=8.0, obs_times=(4.0, 6.0, 8.0), drift=1.0,
+                            seed=seed, balls=(Ball("unit", center, 1.0),))
 
-        def run():
-            field = ObstacleField(1, 0.5, 0.3, 15)
-            (curve,), _, stats = branching.run_batch(cfg, [field], [cfg.seed], focus=((0.0,), 1.0), prune_tol=1e-8)
-            return curve, stats, field.realized_cells
+            def run(rows):
+                monkeypatch.setattr(branching, "_CHUNK", rows)
+                field = ObstacleField(d, 0.5, 0.3, 15)
+                (curve,), _, stats = branching.run_batch(cfg, [field], [cfg.seed], focus=(center, 1.0), prune_tol=1e-8)
+                return curve, stats, field.realized_cells
 
-        curve, stats, cells = run()
-        monkeypatch.setattr(branching, "_CHUNK", 3)
-        curve_b, stats_b, cells_b = run()
-        assert stats["pruned"][0] > 0 and curve.counts[-1] > 3
-        np.testing.assert_array_equal(curve_b.counts, curve.counts)
-        np.testing.assert_array_equal(curve_b.local_counts["unit"], curve.local_counts["unit"])
-        assert stats_b["pruned"][0] == stats["pruned"][0]
-        assert stats_b["leak_bound"][0] == pytest.approx(stats["leak_bound"][0], rel=1e-12)
-        assert cells_b == cells
+            curve, stats, cells = run(chunk)
+            curve_b, stats_b, cells_b = run(3)
+            assert stats["pruned"][0] > 0 and curve.counts[-1] > 3
+            np.testing.assert_array_equal(curve_b.counts, curve.counts)
+            np.testing.assert_array_equal(curve_b.local_counts["unit"], curve.local_counts["unit"])
+            assert stats_b["pruned"][0] == stats["pruned"][0]
+            assert stats_b["leak_bound"][0] == pytest.approx(stats["leak_bound"][0], rel=1e-12)
+            if d > 1:
+                assert cells and cells_b == cells
 
 
 def batch_config(beta=1.0, times=(1.5, 3.0), drift=0.5, cap=1_000_000, d=1):
@@ -386,18 +391,22 @@ class TestBatch:
 
     def test_table_lookups_run_in_row_blocks(self, monkeypatch):
         # with tiny blocks every table lookup holds at most _CHUNK candidates,
-        # and the runs do not change
+        # on distinct fields (the batch's stacked table) and on one shared
+        # field (its own table) alike, and the runs do not change.  Every
+        # d = 1 table query passes through StackedTable._lookup.
         fields = [ObstacleField(1, 0.5, 0.3, derive_seed(27, "env", i)) for i in range(8)]
         config = batch_config(beta=0.8, times=(2.0, 4.0), drift=1.0)
         seeds = [derive_seed(27, "run", i) for i in range(8)]
-        wide = [branching.run_batch(config, f, seeds)[0] for f in (fields, [fields[0]] * 8)]
-        sizes = []
-        ask, many = StackedTable.is_blocked, ObstacleField.is_blocked_many
-        monkeypatch.setattr(StackedTable, "is_blocked", lambda self, xs, rows=None: sizes.append(len(xs)) or ask(self, xs, rows))
-        monkeypatch.setattr(ObstacleField, "is_blocked_many", lambda self, xs: sizes.append(len(xs)) or many(self, xs))
+        batches = (fields, [fields[0]] * 8)
+        wide = [branching.run_batch(config, f, seeds)[0] for f in batches]
+        sizes, lookup = [], StackedTable._lookup
+        monkeypatch.setattr(StackedTable, "_lookup", lambda self, xs, rows: sizes[-1].append(len(xs)) or lookup(self, xs, rows))
         monkeypatch.setattr(branching, "_CHUNK", 5)
-        narrow = [branching.run_batch(config, f, seeds)[0] for f in (fields, [fields[0]] * 8)]
-        assert max(sizes) == 5 and len(sizes) > 20
+        narrow = []
+        for f in batches:
+            sizes.append([])
+            narrow.append(branching.run_batch(config, f, seeds)[0])
+        assert [max(s) for s in sizes] == [5, 5] and min(map(len, sizes)) > 20
         for a, b in zip(sum(wide, []), sum(narrow, [])):
             assert_same_curve(a, b)
 
@@ -699,13 +708,13 @@ class TestMedian:
     def test_equals_numpy_median(self, n):
         rng = np.random.default_rng(n)
         counts = rng.integers(0, 50, size=(n, 4))  # ties included
-        assert np.array_equal(branching._median(counts), np.median(counts, axis=0))
+        assert np.array_equal(branching.median(counts), np.median(counts, axis=0))
         radii = rng.exponential(size=n)
-        assert branching._median(radii) == np.median(radii)
+        assert branching.median(radii) == np.median(radii)
 
     def test_no_values_give_nan(self):
-        assert math.isnan(branching._median(np.empty(0)))
-        assert np.isnan(branching._median(np.empty((0, 3)))).all()
+        assert math.isnan(branching.median(np.empty(0)))
+        assert np.isnan(branching.median(np.empty((0, 3)))).all()
 
     def test_campaigns_do_not_import_numpy_ma(self, tmp_path):
         # np.median's masked-array check imports numpy.ma; the campaigns take medians without it

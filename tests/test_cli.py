@@ -426,6 +426,24 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith("config error: OverflowError")
         assert not out.exists()
 
+    def test_a_clearing_search_too_large_for_memory_exits_2(self, tmp_path, monkeypatch, capsys):
+        from mildbbm import environment
+
+        def refuse(self, lo, hi):
+            raise AssertionError("realize_box called")
+
+        monkeypatch.setattr(environment, "_MAX_CLEARING_SIZE", 10**4)
+        monkeypatch.setattr(ObstacleField, "realize_box", refuse)
+        out = tmp_path / "never"
+        # 200^2 lattice cells at pitch 1, over B(0, ell) and over half of gen-env's box
+        assert main(["clearing-stats", "--d", "2", "--ell", "100", "--out", str(out)]) == 2
+        assert "ell = 100 in d = 2 needs 4e+04 lattice cells" in capsys.readouterr().err
+        assert main(["gen-env", "--d", "2", "--box-length", "200", "--out", str(out)]) == 2
+        assert "ell = 100 in d = 2" in capsys.readouterr().err
+        assert not out.exists()
+        # a command that runs no search is not refused for the default ell
+        assert main(["gen-env", "--d", "2", "--box-length", "0", "--out", str(out)]) == 0
+
     def test_fault_while_loading_config_exits_4(self, tmp_path, monkeypatch, capsys):
         from mildbbm import cli
 

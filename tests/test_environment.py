@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats as st
 
+from mildbbm import environment
 from mildbbm.environment import (
     _QUERY_TILE_CELLS,
     Clearing,
@@ -945,6 +946,21 @@ class TestLargestClearing:
     def test_empty_field_unbounded(self):
         f = ObstacleField.from_points([], a=0.5, d=1)
         assert largest_clearing(f, 10.0).radius == math.inf
+
+    def test_a_search_too_large_for_memory_is_refused_before_realising(self, monkeypatch):
+        def refuse(self, lo, hi):
+            raise AssertionError("realize_box called")
+
+        monkeypatch.setattr(ObstacleField, "realize_box", refuse)
+        monkeypatch.setattr(environment, "_MAX_CLEARING_SIZE", 10**4)
+        # pitch 1: 200^2 lattice cells over [-100, 100]^2
+        with pytest.raises(ValueError, match=r"ell = 100 in d = 2 needs 4e\+04 lattice cells"):
+            largest_clearing(ObstacleField(2, 1.0, 0.1, 3), 100.0)
+        # 200 lattice cells, but 100 * 2 * (100 + 8) centres expected in the first box
+        with pytest.raises(ValueError, match=r"ell = 100 in d = 1 needs 2.16e\+04 obstacle centres"):
+            largest_clearing(ObstacleField(1, 100.0, 0.1, 3), 100.0)
+        # 80^2 cells and 96^2 centres fit
+        environment.check_clearing_search(ObstacleField(2, 1.0, 0.1, 3), 40.0)
 
     def test_d2_smoke(self):
         f = ObstacleField(2, 0.5, 0.3, 11, 1.0)

@@ -168,7 +168,7 @@ class TestTreeSimulation:
             assert tree.n_leaves == 1 + branches
 
     def test_branch_times_increase_along_lineages(self):
-        tree = simulate_yule_tree(1.0, 4.0, 7, min_leaves=4)
+        tree = simulate_yule_tree(1.0, 4.0, random.Random(7), min_leaves=4)
         for leaf in tree.leaves:
             times = []
             n = leaf
@@ -184,14 +184,17 @@ class TestTreeSimulation:
         tree.branch_time = [0.7, None, None]
         tree.branch_rank = [1, None, None]
         tree.leaves = [1, 2]
-        s, i = sample_pair_mrca(tree, 0)
+        s, i = sample_pair_mrca(tree, random.Random(0))
         assert s == 0.7 and i == 2
 
     def test_pair_requires_two_leaves(self):
-        tree = simulate_yule_tree(0.1, 0.1, 3)
-        if tree.n_leaves < 2:
-            with pytest.raises(ValueError):
-                sample_pair_mrca(tree, 0)
+        tree = YuleTree(beta=1.0, horizon=2.0)
+        tree.parent = [None]
+        tree.branch_time = [None]
+        tree.branch_rank = [None]
+        tree.leaves = [0]
+        with pytest.raises(ValueError, match="two leaves"):
+            sample_pair_mrca(tree, random.Random(0))
 
 
 class TestLawsAgainstSimulation:

@@ -25,3 +25,30 @@ def test_every_function_reads_each_of_its_parameters():
             }
             unread += [f"{path.name}:{node.lineno} {node.name}({p})" for p in params if p not in read]
     assert unread == []
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a private name (_x, not a dunder) is read only by the module that
+    # defines it: by a def or class, or by assigning it as a name or an
+    # attribute; an import of a private name is always a read from elsewhere
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                foreign += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if _is_private(a.name)]
+            elif isinstance(node, ast.Attribute) and _is_private(node.attr) and node.attr not in defined:
+                foreign.append(f"{path.name}:{node.lineno} {node.attr}")
+    assert foreign == []
