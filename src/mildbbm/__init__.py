@@ -51,7 +51,6 @@ from .environment import (
     Clearing,
     ObstacleField,
     largest_clearing,
-    load_points,
     save_points,
     write_header,
 )

@@ -58,8 +58,9 @@ class ModelConstants:
         if int(self.d) != self.d or self.d < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.d}")
         for name in ("nu", "beta", "a"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and strictly positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -208,21 +209,17 @@ def predicted_log_mass(mc: ModelConstants, t: float, mode: str = "quenched") -> 
     raise ValueError(f"mode must be 'quenched' or 'annealed', got {mode!r}")
 
 
-def clearing_radius(ell: float, mc: ModelConstants, leading_only: bool = False) -> float:
+def clearing_radius(ell: float, mc: ModelConstants) -> float:
     """Radius of the obstacle-free ball expected within distance ell.
 
     R_0 (log ell)^(1/d) - (log log ell)^2, clamped at zero.  The clamp is a
     deliberate desk-scale choice: for moderate ell the second-order term can
-    dominate the formula, which is only meaningful as ell grows.  With
-    ``leading_only`` the (log log ell)^2 correction is dropped.
+    dominate the formula, which is only meaningful as ell grows.
     """
     if ell <= math.e:
         raise ValueError(f"ell must exceed e so that log log ell is defined, got {ell}")
     r0 = (mc.d / (mc.nu * unit_ball_volume(mc.d))) ** (1.0 / mc.d)
-    lead = r0 * math.log(ell) ** (1.0 / mc.d)
-    if leading_only:
-        return lead
-    return max(0.0, lead - math.log(math.log(ell)) ** 2)
+    return max(0.0, r0 * math.log(ell) ** (1.0 / mc.d) - math.log(math.log(ell)) ** 2)
 
 
 def confinement_prob_series_1d(R: float, t: float) -> float:

@@ -48,7 +48,6 @@ run that keeps its genealogy log.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -56,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import ModelConstants, drift_vector, lambda_c_constant_drift
-from .environment import ObstacleField, batch_query, write_header, write_table
+from .environment import ObstacleField, batch_query, write_table
 from .seeds import derive_seed
 
 __all__ = [
@@ -147,8 +146,8 @@ class GenealogyLog:
     ``_columns()`` gives arrays of event time, particle id, kind (an index
     into ``_KINDS``), position (n, d) and parent id (-1 for the root), sorted
     stably by event time.  :class:`LogRecord` objects are built only when
-    the log is iterated or exported, and then ``_BLOCK`` records at a time:
-    a reader holds one block of Python objects, not the whole log.
+    the log is iterated, and then ``_BLOCK`` records at a time: a reader
+    holds one block of Python objects, not the whole log.
 
     Branch events are strictly dyadic; the two children of a branching
     particle appear in later records carrying its id as ``parent_id``.
@@ -182,10 +181,6 @@ class GenealogyLog:
         out._add(*(c[mask] for c in self._columns()))
         return out
 
-    @property
-    def records(self) -> list:
-        return list(self)
-
     def __len__(self):
         return sum(len(c[0]) for c in self._chunks)
 
@@ -195,14 +190,6 @@ class GenealogyLog:
             time, ids, kind, pos, parents = (c[start : start + _BLOCK].tolist() for c in cols)
             for t, i, k, x, par in zip(time, ids, kind, pos, parents):
                 yield LogRecord(t, i, _KINDS[k], tuple(x), None if par < 0 else par)
-
-    def to_jsonl(self, path, header: str | None = None):
-        """Line-delimited JSON export, one record per line, its fields in
-        :class:`LogRecord`'s order; read one block of records at a time."""
-        with open(path, "w") as fh:
-            write_header(fh, header)
-            for r in self:
-                fh.write(json.dumps(vars(r)) + "\n")
 
 
 @dataclass

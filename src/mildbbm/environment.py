@@ -64,7 +64,6 @@ but can never disagree; there is no mutation besides cache fills.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from math import dist, floor
@@ -80,7 +79,6 @@ __all__ = [
     "Clearing",
     "largest_clearing",
     "check_clearing_search",
-    "load_points",
     "save_points",
     "write_header",
     "write_table",
@@ -261,7 +259,8 @@ class ObstacleField:
         return self._reach
 
     def spec_record(self) -> dict:
-        """Small serialisable record identifying this field."""
+        """Small serialisable record identifying this field; its keys are the
+        constructor's parameters, so ``ObstacleField(**record)`` rebuilds it."""
         return {
             "d": self.d,
             "nu": self.nu,
@@ -269,10 +268,6 @@ class ObstacleField:
             "master_seed": self.master_seed,
             "cell_size": self.cell_size,
         }
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "ObstacleField":
-        return cls(rec["d"], rec["nu"], rec["a"], rec["master_seed"], rec["cell_size"])
 
     # -- cell realisation --------------------------------------------------
 
@@ -796,27 +791,12 @@ def write_table(path, names, rows, header: str | None = None):
 
 
 def save_points(path, points, header: str | None = None):
-    """Write points as plain text, one per line, comma-separated coordinates."""
+    """Write points as plain text, one per line, comma-separated coordinates,
+    after the ``header`` comment lines; ``np.loadtxt(path, delimiter=",",
+    ndmin=2)`` reads them back."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     with open(path, "w") as fh:
         write_header(fh, header)
         for row in pts:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
-
-def load_points(path) -> np.ndarray:
-    """Read a point fixture: .json files hold a list of coordinate lists,
-    anything else is plain text with one comma-separated point per line.
-    Lines starting with '#' are comments."""
-    path = str(path)
-    if path.endswith(".json"):
-        with open(path) as fh:
-            return np.asarray(json.load(fh), dtype=float)
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    return np.asarray(rows, dtype=float)

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .environment import write_table
 from .seeds import derive_seed
 
 __all__ = [
@@ -36,8 +35,6 @@ __all__ = [
     "simulate_yule_tree",
     "sample_pair_mrca",
     "martingale_limit_samples",
-    "write_cdf_table",
-    "write_pmf_table",
 ]
 
 _SERIES_CUTOFF = 5e-3
@@ -278,15 +275,3 @@ def martingale_limit_samples(beta, t, runs, seed) -> np.ndarray:
         batch += 1
     return out
 
-
-# -- table export -------------------------------------------------------------
-
-
-def write_cdf_table(path, law: MrcaLaw, us, header: str | None = None):
-    """CSV table ``u,F(u)`` of the MRCA law for plotting."""
-    write_table(path, ["u", "F(u)"], ((u, mrca_cdf(law, u)) for u in us), header)
-
-
-def write_pmf_table(path, probs: dict, header: str | None = None):
-    """CSV table ``i,p(i)`` for an integer-indexed pmf."""
-    write_table(path, ["i", "p(i)"], ((i, probs[i]) for i in sorted(probs)), header)

@@ -107,6 +107,13 @@ class TestConstants:
         mc = ModelConstants(2, 1e-15, 1.0, 0.3)
         assert annealed_constant(mc) < 1e-6
 
+    @pytest.mark.parametrize("name", ["nu", "beta", "a"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_rates_and_sizes_must_be_finite_and_positive(self, name, value):
+        params = {"d": 1, "nu": 1.0, "beta": 1.0, "a": 0.3, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite and strictly positive"):
+            ModelConstants(**params)
+
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     @pytest.mark.parametrize("nu", [0.2, 1.0, 3.7])
     def test_r0_identities(self, d, nu):
@@ -161,7 +168,8 @@ class TestClearingRadius:
     def test_clamped_to_zero(self):
         mc = ModelConstants(1, 1.0, 1.0, 0.1)
         assert clearing_radius(1e5, mc) == 0.0
-        assert clearing_radius(1e5, mc, leading_only=True) > 0.0
+        # the leading term is positive, and the correction exceeds it
+        assert 0 < 0.5 * math.log(1e5) < math.log(math.log(1e5)) ** 2
 
     def test_domain_error(self):
         mc = ModelConstants(1, 1.0, 1.0, 0.3)

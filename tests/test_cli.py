@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mildbbm.cli import SEED_ENV_VAR, main
-from mildbbm.environment import ObstacleField, largest_clearing, load_points
+from mildbbm.environment import ObstacleField, largest_clearing
 from mildbbm.seeds import derive_seed
 
 
@@ -28,7 +28,7 @@ class TestGenEnv:
             ]
         )
         assert rc == 0
-        pts = load_points(out / "points.txt")
+        pts = np.loadtxt(out / "points.txt", delimiter=",", ndmin=2)
         # Poisson(1e4): three-sigma band
         assert abs(len(pts) - 10_000) < 300
         summary = json.loads(read(out / "env_summary.json"))
@@ -52,7 +52,9 @@ class TestGenEnv:
         out = tmp_path / "env0"
         rc = main(["gen-env", "--box-length", "0", "--seed", "1", "--out", str(out)])
         assert rc == 0
-        assert len(load_points(out / "points.txt")) == 0
+        # only the header line is written
+        with pytest.warns(UserWarning, match="no data"):
+            assert len(np.loadtxt(out / "points.txt", delimiter=",", ndmin=2)) == 0
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["gen-env", "--d", "1", "--nu", "0.5", "--a", "0.2",
@@ -67,10 +69,8 @@ class TestGenEnv:
 class TestHeaders:
     def test_a_multi_line_header_gives_only_comment_lines(self, tmp_path, monkeypatch):
         from mildbbm import cli
-        from mildbbm.branching import GenealogyLog
         from mildbbm.environment import save_points
         from mildbbm.feynman_kac import FkEstimate, write_estimates_csv
-        from mildbbm.genealogy import MrcaLaw, write_cdf_table, write_pmf_table
 
         header = "spec line one\nspec line two"
         monkeypatch.setattr(cli, "_header", lambda cfg: header)
@@ -81,12 +81,8 @@ class TestHeaders:
                          n_environments=1, log_std_error=0.05)
         write_estimates_csv(tmp_path / "fk.csv", [est], header=header)
         save_points(tmp_path / "pts.txt", [[0.0]], header=header)
-        GenealogyLog().to_jsonl(tmp_path / "log.jsonl", header=header)
-        write_cdf_table(tmp_path / "cdf.csv", MrcaLaw(t=1.0, beta=1.0), [0.25, 0.5], header=header)
-        write_pmf_table(tmp_path / "pmf.csv", {1: 0.5, 2: 0.5}, header=header)
         files = [out / "aggregated.csv", out / "predicted.csv", out / "replicate_0000.csv",
-                 tmp_path / "fk.csv", tmp_path / "pts.txt", tmp_path / "log.jsonl",
-                 tmp_path / "cdf.csv", tmp_path / "pmf.csv"]
+                 tmp_path / "fk.csv", tmp_path / "pts.txt"]
         for path in files:
             lines = read(path).splitlines()
             assert lines[:2] == ["# spec line one", "# spec line two"], path
@@ -232,6 +228,21 @@ class TestGates:
         rep = json.loads(read(out / "fk_report.json"))
         assert rep["halving_shift"] == 0.0 and rep["halving_pass"]
         assert rc == 0
+
+    def test_fk_compare_halving_check_reads_the_se_gate(self, tmp_path):
+        # on an obstacle field the dt and dt/2 estimates differ by a
+        # nonzero shift, which no SE multiple near 0 covers
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gates": {"se_gate": 1e-9}}))
+        out = tmp_path / "fk"
+        rc = main(
+            ["--config", str(cfg), "fk-compare", "--beta", "1", "--t-max", "1", "--runs", "20",
+             "--n-paths", "50", "--dt", "0.05", "--seed", "3", "--out", str(out)]
+        )
+        rep = json.loads(read(out / "fk_report.json"))
+        assert rep["halving_shift"] > 0.0
+        assert not rep["halving_pass"] and not rep["pass"]
+        assert rc == 1
 
     def test_fk_compare_fails_when_some_runs_truncate(self, tmp_path):
         # a cap of 20 cuts 3 of the 400 Yule runs (mean e^1.5 = 4.5): the
@@ -398,6 +409,11 @@ class TestConfigHandling:
             ["dichotomy", "--drift", "nan", "--runs", "2", "--t-max", "1", "--cap", "50"],
             ["growth-curve", "--obs", "nan", "--replicates", "2", "--cap", "50"],
             ["fk-compare", "--t-max", "inf", "--runs", "2", "--n-paths", "2", "--dt", "0.05", "--cap", "50"],
+            # non-finite rates and sizes
+            ["fk-compare", "--beta", "inf", "--runs", "2", "--n-paths", "2", "--dt", "0.05", "--cap", "50"],
+            ["fk-compare", "--dt", "inf", "--runs", "2", "--n-paths", "2", "--cap", "50"],
+            ["dichotomy", "--prune-tol", "inf", "--runs", "2", "--t-max", "1", "--drift", "1"],
+            ["dichotomy", "--ball-radius", "inf", "--runs", "2", "--t-max", "1", "--drift", "1"],
         ],
     )
     def test_invalid_config_is_refused_before_running(self, tmp_path, args, capsys):
@@ -477,7 +493,7 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"nu": 2.0, "box_length": 800.0, "seed": 12}))
         out = tmp_path / "env"
         assert main(["--config", str(cfg), "gen-env", "--out", str(out)]) == 0
-        pts = load_points(out / "points.txt")
+        pts = np.loadtxt(out / "points.txt", delimiter=",", ndmin=2)
         assert abs(len(pts) - 1600) < 3 * 40  # Poisson(1600)
 
     def test_env_var_overrides_seed(self, tmp_path, monkeypatch):

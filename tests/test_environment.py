@@ -1,6 +1,7 @@
 """Obstacle field: reproducibility, Poisson statistics, query consistency."""
 
 import itertools
+import json
 import math
 import random
 import re
@@ -18,7 +19,6 @@ from mildbbm.environment import (
     _line_distances,
     _tile_side,
     largest_clearing,
-    load_points,
     save_points,
     write_table,
 )
@@ -93,7 +93,7 @@ class TestCreation:
 
     def test_record_round_trip(self):
         f = ObstacleField(2, 0.7, 0.4, 99, 1.5)
-        g = ObstacleField.from_record(f.spec_record())
+        g = ObstacleField(**f.spec_record())
         assert g.spec_record() == f.spec_record()
         pts_f = f.realize_box([-3, -3], [3, 3])
         pts_g = g.realize_box([-3, -3], [3, 3])
@@ -975,7 +975,7 @@ class TestFixtures:
         pts = np.asarray([[0.5, -1.25], [3.0, 4.0]])
         path = tmp_path / "pts.txt"
         save_points(path, pts, header="demo fixture")
-        back = load_points(path)
+        back = np.loadtxt(path, delimiter=",", ndmin=2)
         assert np.array_equal(back, pts)
 
     def test_table_writes_integers_as_they_are_and_other_values_at_12_digits(self, tmp_path):
@@ -992,7 +992,7 @@ class TestFixtures:
     def test_json_fixture(self, tmp_path):
         path = tmp_path / "pts.json"
         path.write_text("[[1.0], [2.5], [-3.0]]")
-        pts = load_points(path)
+        pts = json.loads(path.read_text())
         f = ObstacleField.from_points(pts, a=0.4)
         assert f.is_blocked((2.6,))
         assert not f.is_blocked((0.0,))

@@ -10,6 +10,7 @@ from hypothesis import strategies as hst
 from scipy import integrate
 from scipy import stats as st
 
+from mildbbm.environment import write_table
 from mildbbm.genealogy import (
     MrcaLaw,
     YuleTree,
@@ -245,11 +246,9 @@ class TestLawsAgainstSimulation:
 
 class TestTableExports:
     def test_cdf_table(self, tmp_path):
-        from mildbbm.genealogy import write_cdf_table
-
         law = MrcaLaw(t=3.0)
         path = tmp_path / "cdf.csv"
-        write_cdf_table(path, law, [0.5, 1.0, 2.0], header="beta=1 t=3")
+        write_table(path, ["u", "F(u)"], ((u, mrca_cdf(law, u)) for u in (0.5, 1.0, 2.0)), header="beta=1 t=3")
         lines = path.read_text().splitlines()
         assert lines[0] == "# beta=1 t=3"
         assert lines[1] == "u,F(u)"
@@ -257,10 +256,8 @@ class TestTableExports:
         assert float(f) == pytest.approx(mrca_cdf(law, float(u)), rel=1e-9)
 
     def test_pmf_table(self, tmp_path):
-        from mildbbm.genealogy import write_pmf_table
-
         path = tmp_path / "pmf.csv"
-        write_pmf_table(path, {i: pre_coalescence_size_pmf(i, 5) for i in (2, 3, 4, 5)})
+        write_table(path, ["i", "p(i)"], ((i, pre_coalescence_size_pmf(i, 5)) for i in (2, 3, 4, 5)))
         lines = path.read_text().splitlines()
         assert lines[0] == "i,p(i)"
         assert lines[1].startswith("2,0.5")
